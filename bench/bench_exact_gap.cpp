@@ -1,6 +1,5 @@
 // Experiment T8 (extension) — quality of the two-phase heuristic
-// against the exact optimum, and the anytime B&B against the legacy
-// incumbent-only DFS it replaced.
+// against the exact optimum, and the exact solver on real workloads.
 //
 // The paper evaluates its heuristic only against a *naive* allocator;
 // this bench adds the missing upper reference: an exact
@@ -10,25 +9,20 @@
 // quantifying how much of the naive-to-optimal interval the two-phase
 // scheme actually captures.
 //
-// The solver table then quantifies the rebuild: per (N, K, family) it
-// runs the legacy DFS (bounds and dominance off) and the pruned search
-// under the same node cap, reporting solve rates, mean nodes explored,
-// the node-reduction factor, and checking that both report identical
-// optimal costs whenever both complete.
-//
-// Two further tables exercise the parallel and tiled solvers on real
-// unrolled workloads (workloads/*.kern):
+// Three further tables exercise the parallel and tiled solvers, two on
+// real unrolled workloads (workloads/*.kern):
 //  * the anytime ladder — heuristic vs tiled vs full exact on the
 //    50–200-access kernels the tiled mode exists for;
 //  * the scaling table — prefixes of the unrolled stencil at growing N
 //    under a fixed wall-clock budget, sequential vs parallel, with the
-//    max proven N per jobs level and a gate (the parallel solver must
-//    prove at least as deep as the sequential one);
+//    max proven N per jobs level;
 //  * the steal table — the deep-unbalanced skewed-strided family at
 //    jobs 1/2/8, reporting splits, steals, the steal rate and the
-//    worker-idle fraction, with a throughput gate (jobs=8 must match
-//    jobs=1 nodes/sec on hosts with >= 4 hardware threads — this is
-//    the workload work-stealing exists for).
+//    worker-idle fraction.
+// Nodes/sec and max proven N depend on the host's clock and load, so
+// they are printed as data, not gated. The one check is deterministic:
+// a proven cost is the optimum, so two jobs levels that both prove an
+// instance must report the same cost — the bench exits 1 otherwise.
 // Pass --scaling-csv=PATH to also write every scaling and steal row
 // (nodes/sec, max proven N, steal diagnostics) as one CSV artifact for
 // CI, and --quick to shrink the tables to a CI-budget smoke run.
@@ -60,8 +54,8 @@ namespace {
 
 using namespace dspaddr;
 
-// --quick shrinks every table to a CI-budget smoke run: same gates,
-// same output markers, fewer sizes and trials.
+// --quick shrinks every table to a CI-budget smoke run: same check,
+// fewer sizes and trials.
 bool g_quick = false;
 
 void print_gap_table() {
@@ -125,85 +119,9 @@ void print_gap_table() {
                "interval closed by the heuristic.\n\n";
 }
 
-void print_solver_table() {
-  const std::size_t kTrials = g_quick ? 3 : 10;
-  // Enough for the pruned search on every instance below; the legacy
-  // DFS aborts on most N >= 16 instances under the same cap.
-  constexpr std::uint64_t kNodeCap = 3'000'000;
-  const core::CostModel model{1, core::WrapPolicy::kCyclic};
-
-  support::Table table({"N", "K", "family", "solved old", "solved new",
-                        "nodes old", "nodes new", "node reduction"});
-  std::size_t cost_mismatches = 0;
-  const std::vector<std::size_t> sizes =
-      g_quick ? std::vector<std::size_t>{12, 16}
-              : std::vector<std::size_t>{12, 16, 20};
-  for (const std::size_t n : sizes) {
-    for (const std::size_t k : {2u, 4u}) {
-      for (const eval::PatternFamily family :
-           {eval::PatternFamily::kUniform,
-            eval::PatternFamily::kSortedNoise}) {
-        support::Rng rng(0x50C4 ^ (n * 7919) ^ (k * 104729) ^
-                         static_cast<std::uint64_t>(family));
-        std::size_t solved_old = 0;
-        std::size_t solved_new = 0;
-        double nodes_old = 0.0;
-        double nodes_new = 0.0;
-        for (std::size_t trial = 0; trial < kTrials; ++trial) {
-          eval::PatternSpec spec;
-          spec.accesses = n;
-          spec.offset_range = 8;
-          spec.family = family;
-          const ir::AccessSequence seq = eval::generate_pattern(spec, rng);
-
-          core::ExactOptions legacy;
-          legacy.max_nodes = kNodeCap;
-          legacy.use_bounds = false;
-          legacy.use_dominance = false;
-          const core::ExactResult old_style =
-              core::exact_min_cost_allocation(seq, model, k, legacy);
-
-          core::ExactOptions pruned;
-          pruned.max_nodes = kNodeCap;
-          const core::ExactResult new_style =
-              core::exact_min_cost_allocation(seq, model, k, pruned);
-
-          if (old_style.proven) ++solved_old;
-          if (new_style.proven) ++solved_new;
-          nodes_old += static_cast<double>(old_style.nodes);
-          nodes_new += static_cast<double>(new_style.nodes);
-          if (old_style.proven && new_style.proven &&
-              old_style.cost != new_style.cost) {
-            ++cost_mismatches;
-          }
-        }
-        const double reduction =
-            nodes_new > 0.0 ? nodes_old / nodes_new : 0.0;
-        table.add_row({
-            std::to_string(n),
-            std::to_string(k),
-            eval::to_string(family),
-            std::to_string(solved_old) + "/" + std::to_string(kTrials),
-            std::to_string(solved_new) + "/" + std::to_string(kTrials),
-            support::format_fixed(nodes_old / kTrials, 0),
-            support::format_fixed(nodes_new / kTrials, 0),
-            support::format_fixed(reduction, 1) + "x",
-        });
-      }
-    }
-  }
-  std::cout << "Anytime B&B vs legacy DFS (" << kTrials
-            << " patterns per row, M = 1, node cap " << kNodeCap << ")\n\n";
-  table.write(std::cout);
-  std::cout << "\n'solved' = instances proven optimal within the cap; "
-               "'node reduction' = legacy/pruned mean nodes.\n"
-            << "cost mismatches on co-solved instances: "
-            << cost_mismatches << " (must be 0)\n\n";
-}
-
 // ------------------------------------------------------------------
 // Real-workload tables: the anytime ladder and the parallel scaling
-// gate, both on the unrolled kernels in workloads/.
+// table, both on the unrolled kernels in workloads/.
 
 ir::AccessSequence load_workload(const std::string& file) {
   const std::string path =
@@ -359,7 +277,9 @@ void write_scaling_csv(const std::string& csv_path,
             << rows.size() << " rows)\n\n";
 }
 
-void print_scaling_table(std::vector<ScalingRow>& csv_rows) {
+/// Prints the scaling table; returns how many instances proved
+/// different costs at jobs 1 and 8.
+std::size_t print_scaling_table(std::vector<ScalingRow>& csv_rows) {
   constexpr std::size_t kRegisters = 3;
   const char* kWorkload = "stencil3x3_unroll8.kern";
   const core::CostModel model{1, core::WrapPolicy::kCyclic};
@@ -433,26 +353,13 @@ void print_scaling_table(std::vector<ScalingRow>& csv_rows) {
   std::cout << "\nmax proven N: sequential " << max_proven_seq
             << ", parallel " << max_proven_par << "\n";
   std::cout << "proven-cost mismatches across jobs levels: "
-            << cost_mismatches << " (must be 0)\n";
-  // The gate the CI smoke job greps for: parallelism must never lose
-  // proof depth. Sub-4-thread hosts cannot show a win (the subtree
-  // tasks just time-slice one core), so the gate is informational
-  // there, like bench_serve's throughput gate.
-  if (max_proven_par >= max_proven_seq && cost_mismatches == 0) {
-    std::cout << "scaling gate: parallel max proven N " << max_proven_par
-              << " >= sequential " << max_proven_seq << " (OK)\n\n";
-  } else if (hw < 4) {
-    std::cout << "scaling gate not enforced (" << hw
-              << " hardware threads)\n\n";
-  } else {
-    std::cout << "scaling gate: parallel max proven N " << max_proven_par
-              << " < sequential " << max_proven_seq << " (REGRESSION)\n\n";
-  }
+            << cost_mismatches << " (must be 0)\n\n";
 
   for (ScalingRow& row : rows) {
     row.max_proven_n = row.jobs == 1 ? max_proven_seq : max_proven_par;
     csv_rows.push_back(std::move(row));
   }
+  return cost_mismatches;
 }
 
 /// The work-stealing table: the deep-unbalanced skewed-strided family
@@ -460,8 +367,9 @@ void print_scaling_table(std::vector<ScalingRow>& csv_rows) {
 /// siblings, so a static decomposition starves every worker but one)
 /// at jobs 1, 2 and 8, with the schedule diagnostics that show the
 /// scheduler actually moved work: splits, steals, the steal rate and
-/// the worker-idle fraction.
-void print_steal_table(std::vector<ScalingRow>& csv_rows) {
+/// the worker-idle fraction. Returns how many solves proved a cost
+/// other than an earlier jobs level's proven cost.
+std::size_t print_steal_table(std::vector<ScalingRow>& csv_rows) {
   constexpr std::size_t kRegisters = 3;
   const core::CostModel model{1, core::WrapPolicy::kCyclic};
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
@@ -552,22 +460,8 @@ void print_steal_table(std::vector<ScalingRow>& csv_rows) {
             << cost_mismatches << " (must be 0)\n";
   std::cout << "mean nodes/sec: jobs=1 "
             << support::format_fixed(seq_mean / 1e6, 2) << "M, jobs=8 "
-            << support::format_fixed(par_mean / 1e6, 2) << "M\n";
-  // The CI gate: with real cores behind the pool, stealing must not
-  // lose throughput on the very family it targets. Single-core hosts
-  // time-slice the workers, so the gate is informational there.
-  if (cost_mismatches == 0 && par_mean >= seq_mean) {
-    std::cout << "steal scaling gate: jobs=8 nodes/sec >= jobs=1 (OK)\n\n";
-  } else if (hw < 4) {
-    std::cout << "steal scaling gate not enforced (" << hw
-              << " hardware threads)\n\n";
-  } else {
-    std::cout << "steal scaling gate: jobs=8 "
-              << support::format_fixed(par_mean / 1e6, 2)
-              << "M < jobs=1 "
-              << support::format_fixed(seq_mean / 1e6, 2)
-              << "M nodes/sec (REGRESSION)\n\n";
-  }
+            << support::format_fixed(par_mean / 1e6, 2) << "M\n\n";
+  return cost_mismatches;
 }
 
 void BM_ExactAllocator(benchmark::State& state) {
@@ -585,23 +479,6 @@ void BM_ExactAllocator(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactAllocator)->Arg(8)->Arg(12)->Arg(16);
 
-void BM_ExactAllocatorLegacy(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  support::Rng rng(5);
-  eval::PatternSpec spec;
-  spec.accesses = n;
-  spec.offset_range = 6;
-  const ir::AccessSequence seq = eval::generate_pattern(spec, rng);
-  const core::CostModel model{1, core::WrapPolicy::kCyclic};
-  core::ExactOptions legacy;
-  legacy.use_bounds = false;
-  legacy.use_dominance = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::exact_min_cost_allocation(seq, model, 2, legacy).cost);
-  }
-}
-BENCHMARK(BM_ExactAllocatorLegacy)->Arg(8)->Arg(12)->Arg(16);
 
 }  // namespace
 
@@ -623,15 +500,19 @@ int main(int argc, char** argv) {
   argc = kept;
 
   print_gap_table();
-  print_solver_table();
   print_workload_ladder();
   std::vector<ScalingRow> csv_rows;
-  print_scaling_table(csv_rows);
-  print_steal_table(csv_rows);
+  std::size_t cost_mismatches = print_scaling_table(csv_rows);
+  cost_mismatches += print_steal_table(csv_rows);
   write_scaling_csv(scaling_csv, csv_rows);
+  if (cost_mismatches != 0) {
+    std::cerr << "FAILED: " << cost_mismatches
+              << " proven cost(s) differ across jobs levels\n";
+    return 1;
+  }
   if (g_quick) {
     // The microbenchmarks add nothing the tables have not already
-    // gated on; skip them inside the CI time budget.
+    // checked; skip them inside the CI time budget.
     return 0;
   }
   benchmark::Initialize(&argc, argv);

@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "agu/machines.hpp"
+#include "engine/engine.hpp"
 #include "ir/kernels.hpp"
 #include "support/stats.hpp"
 #include "support/strings.hpp"
@@ -20,7 +21,19 @@ namespace {
 
 using namespace dspaddr;
 
+/// One cell through the engine's default pipeline. A capacity-0 engine
+/// computes every request, so the benchmark below never times a cache
+/// hit.
+engine::Result run_on_machine(engine::Engine& engine, const ir::Kernel& kernel,
+                              const agu::AguSpec& machine) {
+  engine::Request request;
+  request.kernel = kernel;
+  request.machine = machine;
+  return engine.run(request);
+}
+
 void print_machine_table() {
+  engine::Engine engine(engine::Engine::Options{0});
   const auto machines = agu::builtin_machines();
   std::vector<std::string> header{"kernel"};
   for (const agu::AguSpec& machine : machines) {
@@ -33,12 +46,11 @@ void print_machine_table() {
   for (const ir::Kernel& kernel : ir::builtin_kernels()) {
     std::vector<std::string> row{kernel.name()};
     for (std::size_t m = 0; m < machines.size(); ++m) {
-      const agu::MachineRunReport report =
-          agu::run_on_machine(kernel, machines[m]);
-      all_verified = all_verified && report.verified;
-      per_machine[m].add(report.residual_cost);
-      row.push_back(std::to_string(report.residual_cost) +
-                    (report.verified ? "" : " !"));
+      const engine::Result result = run_on_machine(engine, kernel, machines[m]);
+      all_verified = all_verified && result.verified;
+      per_machine[m].add(result.plan.residual_cost);
+      row.push_back(std::to_string(result.plan.residual_cost) +
+                    (result.verified ? "" : " !"));
     }
     table.add_row(std::move(row));
   }
@@ -69,9 +81,10 @@ void BM_RunOnMachine(benchmark::State& state) {
   const auto machines = agu::builtin_machines();
   const agu::AguSpec machine =
       machines[static_cast<std::size_t>(state.range(0)) % machines.size()];
+  engine::Engine engine(engine::Engine::Options{0});
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        agu::run_on_machine(kernel, machine).residual_cost);
+        run_on_machine(engine, kernel, machine).plan.residual_cost);
   }
 }
 BENCHMARK(BM_RunOnMachine)->Arg(0)->Arg(2)->Arg(4);

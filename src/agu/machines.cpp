@@ -1,10 +1,5 @@
 #include "agu/machines.hpp"
 
-#include "agu/codegen.hpp"
-#include "agu/simulator.hpp"
-#include "ir/layout.hpp"
-#include "support/check.hpp"
-
 namespace dspaddr::agu {
 
 std::vector<AguSpec> builtin_machines() {
@@ -17,39 +12,6 @@ AguSpec builtin_machine(const std::string& name) {
 
 std::vector<std::string> builtin_machine_names() {
   return MachineRegistry::builtin().names();
-}
-
-MachineRunReport run_on_machine(const ir::Kernel& kernel,
-                                const AguSpec& machine) {
-  check_arg(machine.address_registers() >= 1,
-            "run_on_machine: machine needs an address register");
-
-  const ir::AccessSequence seq = ir::lower(kernel);
-
-  core::ProblemConfig config;
-  config.modify_range = machine.modify_range();
-  config.modify_lo = machine.modify_lo;
-  config.modify_hi = machine.modify_hi;
-  config.free_widths = machine.free_widths;
-  config.registers = machine.address_registers();
-  const core::Allocation allocation =
-      core::RegisterAllocator(config).run(seq);
-
-  const core::ModifyRegisterPlan plan = core::plan_modify_registers(
-      seq, allocation, machine.modify_registers());
-
-  const Program program =
-      generate_code(seq, allocation, plan, machine.addressing);
-  const std::uint64_t iterations =
-      static_cast<std::uint64_t>(kernel.iterations());
-  const SimResult sim = Simulator{}.run(program, seq, iterations);
-
-  MachineRunReport report;
-  report.machine = machine;
-  report.allocation_cost = allocation.cost();
-  report.residual_cost = plan.residual_cost;
-  report.verified = verified_against_cost(sim, iterations, plan.residual_cost);
-  return report;
 }
 
 }  // namespace dspaddr::agu

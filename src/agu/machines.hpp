@@ -9,14 +9,10 @@
 // benches can answer: *how does the same kernel fare across AGUs?*
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "agu/machine_desc.hpp"
-#include "core/allocator.hpp"
-#include "core/modify_registers.hpp"
-#include "ir/kernel.hpp"
 
 namespace dspaddr::agu {
 
@@ -32,22 +28,5 @@ AguSpec builtin_machine(const std::string& name);
 
 /// Names of all catalog entries.
 std::vector<std::string> builtin_machine_names();
-
-/// Outcome of compiling one kernel for one machine.
-struct MachineRunReport {
-  AguSpec machine;
-  /// Unit-cost address computations per iteration before MR planning.
-  int allocation_cost = 0;
-  /// ... and after using the machine's modify registers.
-  int residual_cost = 0;
-  /// Simulator agreement (addresses verified and instruction counts
-  /// matching the analytic model).
-  bool verified = false;
-};
-
-/// Lowers, allocates, plans MRs, generates code and simulates `kernel`
-/// on `machine` for the kernel's iteration count.
-MachineRunReport run_on_machine(const ir::Kernel& kernel,
-                                const AguSpec& machine);
 
 }  // namespace dspaddr::agu

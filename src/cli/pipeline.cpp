@@ -28,37 +28,6 @@ agu::AguSpec resolve_machine(const CompareOptions& options) {
   return resolve_machine(selector);
 }
 
-engine::Result run_pipeline(const ir::Kernel& kernel,
-                            const agu::AguSpec& machine,
-                            std::optional<std::uint64_t> iterations,
-                            const core::Phase2Options& phase2,
-                            const std::string& layout,
-                            const std::string& strategy) {
-  // One-shot run: no traffic to memoize across.
-  engine::Engine::Options options;
-  options.cache_capacity = 0;
-  engine::Engine engine(std::move(options));
-  return run_pipeline(kernel, machine, iterations, phase2, layout, strategy,
-                      engine);
-}
-
-engine::Result run_pipeline(const ir::Kernel& kernel,
-                            const agu::AguSpec& machine,
-                            std::optional<std::uint64_t> iterations,
-                            const core::Phase2Options& phase2,
-                            const std::string& layout,
-                            const std::string& strategy,
-                            engine::Engine& engine) {
-  engine::Request request;
-  request.kernel = kernel;
-  request.machine = machine;
-  request.layout = layout;
-  request.strategy = strategy;
-  request.phase2 = phase2;
-  request.iterations = iterations;
-  return engine.run(request);
-}
-
 std::string report_to_text(const engine::Result& report, bool show_program) {
   std::ostringstream out;
   const ir::Kernel& kernel = report.kernel;

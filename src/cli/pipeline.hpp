@@ -2,22 +2,16 @@
 //
 // The pass sequence itself lives in engine::Engine; this layer only
 // resolves the effective AGU configuration (builtin machine defaults
-// overridden by explicit flags), builds the engine::Request, and
-// renders the engine::Result as an ASCII report, one CSV row (shared
-// schema with the batch runner) or the JSON serialization.
+// overridden by explicit flags) and renders the engine::Result as an
+// ASCII report or one CSV row (shared schema with the batch runner).
 #pragma once
 
-#include <cstdint>
-#include <optional>
 #include <string>
 
 #include "agu/machines.hpp"
 #include "cli/machine_resolve.hpp"
 #include "cli/options.hpp"
-#include "core/allocator.hpp"
 #include "engine/engine.hpp"
-#include "engine/strategy.hpp"
-#include "ir/kernel.hpp"
 
 namespace dspaddr::cli {
 
@@ -26,30 +20,6 @@ namespace dspaddr::cli {
 /// cli/machine_resolve path.
 agu::AguSpec resolve_machine(const RunOptions& options);
 agu::AguSpec resolve_machine(const CompareOptions& options);
-
-/// One-shot convenience: runs the whole pipeline on `kernel` under
-/// `machine` through a private engine::Engine. Drivers with repeated
-/// traffic should hold their own Engine instead to benefit from the
-/// result cache.
-engine::Result run_pipeline(const ir::Kernel& kernel,
-                            const agu::AguSpec& machine,
-                            std::optional<std::uint64_t> iterations,
-                            const core::Phase2Options& phase2 = {},
-                            const std::string& layout =
-                                engine::kDefaultLayout,
-                            const std::string& strategy =
-                                engine::kDefaultStrategy);
-
-/// Same request, but through a caller-owned engine — the `run --store`
-/// path uses this so a one-shot invocation can still answer from (and
-/// write through to) a persistent store.
-engine::Result run_pipeline(const ir::Kernel& kernel,
-                            const agu::AguSpec& machine,
-                            std::optional<std::uint64_t> iterations,
-                            const core::Phase2Options& phase2,
-                            const std::string& layout,
-                            const std::string& strategy,
-                            engine::Engine& engine);
 
 /// Multi-section human-readable report.
 std::string report_to_text(const engine::Result& report, bool show_program);

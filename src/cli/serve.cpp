@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -291,11 +292,20 @@ std::string control_response(const JsonValue& request_json,
       }
       JsonValue stats =
           engine::cache_stats_to_json(engine.cache_stats());
-      // Aggregate phase-2 work alongside the cache counters — both are
-      // deterministic in the request sequence (single-flight), so the
-      // whole stats line stays byte-identical across --jobs levels.
-      stats.set("phase2",
-                engine::phase2_totals_to_json(engine.phase2_totals()));
+      // Aggregate phase-2 work alongside the cache counters: the
+      // engine's `engine.phase2.*` counters, prefix stripped, in
+      // registration order. Both are deterministic in the request
+      // sequence (single-flight), so the whole stats line stays
+      // byte-identical across --jobs levels.
+      constexpr std::string_view kPhase2 = "engine.phase2.";
+      JsonValue phase2 = JsonValue::object();
+      for (const auto& [name, value] : engine.metrics()->snapshot().counters) {
+        if (name.compare(0, kPhase2.size(), kPhase2) == 0) {
+          phase2.set(name.substr(kPhase2.size()),
+                     JsonValue::number(static_cast<std::int64_t>(value)));
+        }
+      }
+      stats.set("phase2", std::move(phase2));
       if (engine.store() != nullptr) {
         stats.set("store",
                   engine::store_stats_to_json(engine.store()->stats()));

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <limits>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -122,19 +121,12 @@ struct SearchContext {
         model(cost_model),
         registers(register_count),
         options(opts),
+        bounds(sequence, cost_model),
         table_cap(opts.table_cap == 0 ? kDefaultTableCap : opts.table_cap),
-        use_dominance(opts.use_dominance &&
-                      register_count <= kMaxDominanceRegisters),
-        legacy(!opts.use_bounds && !opts.use_dominance),
+        use_dominance(register_count <= kMaxDominanceRegisters),
         max_nodes(opts.max_nodes),
         steal_grain(opts.steal_grain == 0 ? kDefaultStealGrain
-                                          : opts.steal_grain) {
-    // Only the bounded solver reads the O(N^2) tables; the legacy
-    // baseline must not pay for (or benefit from) their construction.
-    if (options.use_bounds) {
-      bounds.emplace(seq, model);
-    }
-  }
+                                          : opts.steal_grain) {}
 
   /// Starts the wall clock immediately before the search proper, so
   /// table construction and incumbent seeding never eat the budget.
@@ -162,12 +154,11 @@ struct SearchContext {
   const CostModel& model;
   const std::size_t registers;
   const ExactOptions& options;
-  std::optional<SuffixBounds> bounds;
+  const SuffixBounds bounds;
   const std::size_t table_cap;
+  /// Off above kMaxDominanceRegisters, where the fixed-size state key
+  /// no longer fits.
   const bool use_dominance;
-  /// The pre-anytime enumeration (register index order, fresh-register
-  /// rule only) — the measurement baseline for bench_exact_gap.
-  const bool legacy;
 
   const std::uint64_t max_nodes;
   bool has_deadline = false;
@@ -229,7 +220,7 @@ class Searcher {
       : ctx_(ctx),
         n_(ctx.seq.size()),
         table_cap_(table_cap),
-        use_bound_terms_(ctx.bounds.has_value() && ctx.bounds->dense()),
+        use_bound_terms_(ctx.bounds.dense()),
         states_(ctx.registers),
         assignment_(ctx.seq.size(), kUnassigned) {}
 
@@ -335,13 +326,13 @@ class Searcher {
   std::uint8_t wrap_cost(std::size_t last, std::size_t first) const {
     const int cost =
         use_bound_terms_
-            ? ctx_.bounds->wrap_direct(last, first)
+            ? ctx_.bounds.wrap_direct(last, first)
             : wrap_transition_cost(ctx_.seq, last, first, ctx_.model);
     return static_cast<std::uint8_t>(cost);
   }
 
   std::size_t horizon(std::size_t first) const {
-    return use_bound_terms_ ? ctx_.bounds->wrap_zero_horizon(first) : 0;
+    return use_bound_terms_ ? ctx_.bounds.wrap_zero_horizon(first) : 0;
   }
 
   /// Admissible lower bound on partial cost + everything still to pay,
@@ -351,7 +342,7 @@ class Searcher {
     const int unused = static_cast<int>(ctx_.registers - used_count_);
     int bound =
         partial +
-        std::max(0, ctx_.bounds->cheapest_incoming_suffix(next) - unused);
+        std::max(0, ctx_.bounds.cheapest_incoming_suffix(next) - unused);
     for (std::size_t r = 0; r < used_count_; ++r) {
       const RegisterState& s = states_[r];
       if (s.wrap_direct != 0 && next >= s.wrap_horizon) ++bound;
@@ -508,38 +499,26 @@ class Searcher {
   /// Generates the candidate moves of `next` into the arena and pushes
   /// the frame. Used registers occupy indices [0, used_count_): one
   /// move per distinct register state plus at most one fresh opening,
-  /// cheapest-first. Legacy keeps plain register-index order.
+  /// cheapest-first.
   void push_frame(std::size_t next, int cost) {
     const std::uint32_t begin = static_cast<std::uint32_t>(arena_.size());
-    if (ctx_.legacy) {
-      for (std::size_t r = 0; r < ctx_.registers; ++r) {
-        if (!states_[r].used) {
-          arena_.push_back(Move{static_cast<std::uint32_t>(r), 0, true});
-          break;  // only the first unused register ever opens
-        }
-        arena_.push_back(Move{static_cast<std::uint32_t>(r),
-                              transition(states_[r].last, next), false});
+    for (std::size_t r = 0; r < used_count_; ++r) {
+      bool symmetric = false;
+      for (std::size_t prior = 0; prior < r && !symmetric; ++prior) {
+        symmetric = equivalent_registers(prior, r);
       }
-    } else {
-      for (std::size_t r = 0; r < used_count_; ++r) {
-        bool symmetric = false;
-        for (std::size_t prior = 0; prior < r && !symmetric; ++prior) {
-          symmetric = equivalent_registers(prior, r);
-        }
-        if (symmetric) continue;
-        arena_.push_back(Move{static_cast<std::uint32_t>(r),
-                              transition(states_[r].last, next), false});
-      }
-      if (used_count_ < ctx_.registers) {
-        arena_.push_back(
-            Move{static_cast<std::uint32_t>(used_count_), 0, true});
-      }
-      std::stable_sort(arena_.begin() + begin, arena_.end(),
-                       [](const Move& a, const Move& b) {
-                         if (a.step != b.step) return a.step < b.step;
-                         return !a.fresh && b.fresh;
-                       });
+      if (symmetric) continue;
+      arena_.push_back(Move{static_cast<std::uint32_t>(r),
+                            transition(states_[r].last, next), false});
     }
+    if (used_count_ < ctx_.registers) {
+      arena_.push_back(Move{static_cast<std::uint32_t>(used_count_), 0, true});
+    }
+    std::stable_sort(arena_.begin() + begin, arena_.end(),
+                     [](const Move& a, const Move& b) {
+                       if (a.step != b.step) return a.step < b.step;
+                       return !a.fresh && b.fresh;
+                     });
     Frame frame;
     frame.next = static_cast<std::uint32_t>(next);
     frame.cost = cost;
@@ -768,14 +747,11 @@ ExactResult run_search(const ir::AccessSequence& seq, const CostModel& model,
   seed_incumbent_with_greedy_sweep(ctx);
   seed_incumbent_with_warm_start(ctx);
 
-  // The root short-circuit belongs to the bounded solver; the legacy
-  // baseline must enumerate to prove, as the pre-rebuild DFS did.
-  const int root_lb =
-      ctx.bounds.has_value() ? ctx.bounds->root_lower_bound(registers) : 0;
+  // An incumbent already at the root bound is proven without a node.
+  const int root_lb = ctx.bounds.root_lower_bound(registers);
   ctx.root_lb = root_lb;
   ExactResult result;
-  if (!options.use_bounds ||
-      ctx.best_cost.load(std::memory_order_relaxed) > root_lb) {
+  if (ctx.best_cost.load(std::memory_order_relaxed) > root_lb) {
     // An externally cancelled racer dies before its first node — not
     // just at the 1024-node cadence — so a hopeless solve costs ~zero.
     if (options.abort.armed() && options.abort.should_abort(root_lb)) {

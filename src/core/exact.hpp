@@ -12,9 +12,9 @@
 // (first, last) pair per register. The search itself is *flat*: an
 // explicit frame stack over an arena of candidate moves replaces
 // recursion, so a subtree can start from any pinned prefix — the
-// mechanism behind both the parallel frontier fan-out and the tiled
+// mechanism behind both work-stealing donation (below) and the tiled
 // window solver (core/tiled.hpp). Four prunings keep the exponential
-// tree tractable far beyond the old incumbent-only DFS:
+// tree tractable:
 //  * an admissible lower bound on the unassigned suffix
 //    (core::SuffixBounds), maintained incrementally: each open register
 //    caches its wrap cost and zero-wrap horizon, updated O(1) on
@@ -25,7 +25,8 @@
 //    earlier register's is skipped — the subtrees are isomorphic;
 //  * dominance pruning: a transposition table keyed on (next access,
 //    per-register first/last states) cuts any branch that reaches an
-//    already-seen state at no lower cost;
+//    already-seen state at no lower cost (off for K > 8, where the
+//    fixed-size state key no longer fits);
 //  * move ordering: cheapest transition first, so good incumbents
 //    appear early and the incumbent bound bites sooner.
 // With `jobs > 1` the search runs on a work-stealing
@@ -95,12 +96,6 @@ struct ExactOptions {
   /// makes results machine-dependent — leave at 0 when reproducibility
   /// matters). The clock is read every ~1024 nodes, not per node.
   std::int64_t time_budget_ms = 0;
-  /// Suffix lower bounds (SuffixBounds). Off reproduces the legacy
-  /// incumbent-only DFS, kept for A/B measurement in bench_exact_gap.
-  bool use_bounds = true;
-  /// Dominance pruning via the transposition table (auto-disabled for
-  /// K > 8, where the fixed-size state key no longer fits).
-  bool use_dominance = true;
   /// Worker threads of the search itself. 1 (the default) runs the
   /// exact sequential search; > 1 runs it on a work-stealing pool
   /// (runtime::StealPool) seeded with one root task that donates

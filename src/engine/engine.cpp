@@ -271,8 +271,8 @@ Result Engine::run(const Request& request) {
     return result;
   }
 
-  // Phase-2 totals accumulate on computed runs only; hits of either
-  // tier add nothing (see Phase2Totals).
+  // Phase-2 counters accumulate on computed runs only; hits of either
+  // tier add nothing (see Engine::metrics).
   if (result.stage_done(Stage::kAllocate)) {
     if (result.stats.phase2_proven) {
       phase2_proven_->add();
@@ -307,19 +307,6 @@ Result Engine::run(const Request& request) {
     }
   }
   return result;
-}
-
-Phase2Totals Engine::phase2_totals() const {
-  Phase2Totals totals;
-  totals.proven = phase2_proven_->value();
-  totals.nodes = phase2_nodes_->value();
-  totals.windows = phase2_windows_->value();
-  totals.windows_proven = phase2_windows_proven_->value();
-  totals.subtree_tasks = phase2_subtree_tasks_->value();
-  totals.steals = phase2_steals_->value();
-  totals.steal_attempts = phase2_steal_attempts_->value();
-  totals.splits = phase2_splits_->value();
-  return totals;
 }
 
 CacheStats Engine::cache_stats() const {

@@ -180,26 +180,6 @@ struct CacheStats {
   std::vector<runtime::CacheCounters> shards;
 };
 
-/// Aggregate phase-2 counters over every result this engine *computed*
-/// (RAM and store hits add nothing — nothing was searched). Because the
-/// cache is single-flight, each unique fingerprint is computed exactly
-/// once, so these totals are deterministic across jobs levels (node
-/// counts additionally require phase2_jobs == 1, the documented
-/// sequential-determinism caveat).
-struct Phase2Totals {
-  std::uint64_t proven = 0;
-  std::uint64_t nodes = 0;
-  std::uint64_t windows = 0;
-  std::uint64_t windows_proven = 0;
-  std::uint64_t subtree_tasks = 0;
-  /// Work-stealing totals of parallel phase-2 solves. Deterministic at
-  /// phase2_jobs == 1 (exactly 0, like node counts); schedule-dependent
-  /// above it — donations happen exactly when workers go hungry.
-  std::uint64_t steals = 0;
-  std::uint64_t steal_attempts = 0;
-  std::uint64_t splits = 0;
-};
-
 /// Thread-safe pipeline runner with a fingerprint-keyed result cache.
 /// One Engine is meant to be shared: by all batch workers, by the
 /// whole lifetime of a serve process. The cache is mutex-striped
@@ -248,13 +228,15 @@ public:
 
   CacheStats cache_stats() const;
 
-  /// Phase-2 work actually performed by this engine (see Phase2Totals).
-  Phase2Totals phase2_totals() const;
-
   /// The disk tier, when attached (Options::store).
   const std::shared_ptr<store::ResultStore>& store() const { return store_; }
 
-  /// The registry holding the engine's instruments (never null).
+  /// The registry holding the engine's instruments (never null). The
+  /// `engine.phase2.*` counters sum the phase-2 work of every result
+  /// this engine *computed*; RAM and store hits add nothing. The cache
+  /// is single-flight, so each unique fingerprint is computed once and
+  /// the sums are deterministic across jobs levels — node and steal
+  /// counts only at phase2_jobs == 1, where the steal counts are 0.
   const std::shared_ptr<obs::Registry>& metrics() const { return metrics_; }
 
   /// Drops every cached RAM entry; returns how many entries were

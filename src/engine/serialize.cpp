@@ -211,19 +211,6 @@ support::JsonValue cache_stats_to_json(const CacheStats& stats) {
   return json;
 }
 
-support::JsonValue phase2_totals_to_json(const Phase2Totals& totals) {
-  JsonValue json = JsonValue::object();
-  json.set("proven", from_u64(totals.proven));
-  json.set("nodes", from_u64(totals.nodes));
-  json.set("windows", from_u64(totals.windows));
-  json.set("windows_proven", from_u64(totals.windows_proven));
-  json.set("subtree_tasks", from_u64(totals.subtree_tasks));
-  json.set("steals", from_u64(totals.steals));
-  json.set("steal_attempts", from_u64(totals.steal_attempts));
-  json.set("splits", from_u64(totals.splits));
-  return json;
-}
-
 support::JsonValue store_stats_to_json(const store::StoreStats& stats) {
   JsonValue json = JsonValue::object();
   json.set("records", from_size(stats.records));

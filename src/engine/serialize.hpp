@@ -55,11 +55,6 @@ support::JsonValue result_to_json(const Result& result);
 /// "capacity"} plus a "shards" array with the same fields per shard.
 support::JsonValue cache_stats_to_json(const CacheStats& stats);
 
-/// Aggregate phase-2 work as a JSON object: {"proven", "nodes",
-/// "windows", "windows_proven", "subtree_tasks"}. Deterministic across
-/// jobs levels (see engine::Phase2Totals).
-support::JsonValue phase2_totals_to_json(const Phase2Totals& totals);
-
 /// Persistent-store counters as a JSON object: {"records", "bytes",
 /// "recovered_records", "appended_records", "appended_bytes",
 /// "truncated_bytes", "shadowed_bytes", "compactions",

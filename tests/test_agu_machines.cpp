@@ -4,11 +4,25 @@
 
 #include <set>
 
+#include "engine/engine.hpp"
 #include "ir/kernels.hpp"
 #include "support/check.hpp"
 
 namespace dspaddr::agu {
 namespace {
+
+/// Lowers, allocates, plans MRs, generates code and simulates `kernel`
+/// on `machine` through the engine's default pipeline.
+engine::Result run_on_machine(const ir::Kernel& kernel,
+                              const AguSpec& machine) {
+  engine::Request request;
+  request.kernel = kernel;
+  request.machine = machine;
+  engine::Engine engine;
+  engine::Result result = engine.run(request);
+  EXPECT_TRUE(result.ok()) << result.error->message;
+  return result;
+}
 
 TEST(Machines, CatalogIsWellFormed) {
   const auto machines = builtin_machines();
@@ -39,10 +53,10 @@ TEST(Machines, RunOnMachineVerifiesEverywhere) {
   for (const ir::Kernel& kernel : ir::builtin_kernels()) {
     for (const AguSpec& machine : builtin_machines()) {
       SCOPED_TRACE(kernel.name() + " on " + machine.name);
-      const MachineRunReport report = run_on_machine(kernel, machine);
+      const engine::Result report = run_on_machine(kernel, machine);
       EXPECT_TRUE(report.verified);
-      EXPECT_GE(report.allocation_cost, report.residual_cost);
-      EXPECT_GE(report.residual_cost, 0);
+      EXPECT_GE(report.allocation_cost, report.plan.residual_cost);
+      EXPECT_GE(report.plan.residual_cost, 0);
     }
   }
 }
@@ -51,22 +65,22 @@ TEST(Machines, ModifyRegistersOnlyHelp) {
   // adsp218x is tms320c54x-shaped with 8 MRs instead of 1: residual
   // cost can only improve.
   const ir::Kernel kernel = ir::filter2d_3x3_kernel(32);
-  const MachineRunReport one_mr =
+  const engine::Result one_mr =
       run_on_machine(kernel, builtin_machine("tms320c54x"));
-  const MachineRunReport eight_mrs =
+  const engine::Result eight_mrs =
       run_on_machine(kernel, builtin_machine("adsp218x"));
   EXPECT_EQ(one_mr.allocation_cost, eight_mrs.allocation_cost);
-  EXPECT_LE(eight_mrs.residual_cost, one_mr.residual_cost);
+  EXPECT_LE(eight_mrs.plan.residual_cost, one_mr.plan.residual_cost);
 }
 
 TEST(Machines, SmallMachineCostsMore) {
   // 2 registers without MRs can't beat 8 registers with MRs.
   const ir::Kernel kernel = ir::paper_example_kernel();
-  const MachineRunReport small =
+  const engine::Result small =
       run_on_machine(kernel, builtin_machine("minimal2"));
-  const MachineRunReport large =
+  const engine::Result large =
       run_on_machine(kernel, builtin_machine("adsp218x"));
-  EXPECT_GE(small.residual_cost, large.residual_cost);
+  EXPECT_GE(small.plan.residual_cost, large.plan.residual_cost);
 }
 
 TEST(Machines, WiderImmediateRangeLowersAllocationCost) {
@@ -78,9 +92,8 @@ TEST(Machines, WiderImmediateRangeLowersAllocationCost) {
   narrow.set_address_registers(4);
   narrow.set_modify_registers(0);
   narrow.set_modify_range(1);
-  const MachineRunReport n = run_on_machine(kernel, narrow);
-  const MachineRunReport w =
-      run_on_machine(kernel, builtin_machine("wide4"));
+  const engine::Result n = run_on_machine(kernel, narrow);
+  const engine::Result w = run_on_machine(kernel, builtin_machine("wide4"));
   EXPECT_LE(w.allocation_cost, n.allocation_cost);
 }
 

@@ -74,8 +74,6 @@ TEST(ExactAllocator, NodeCapDegradesGracefully) {
   const auto seq = eval::generate_pattern(spec, rng);
   ExactOptions options;
   options.max_nodes = 10;  // far too small to finish
-  options.use_bounds = false;  // keep the search from finishing anyway
-  options.use_dominance = false;
   const ExactResult r = exact_min_cost_allocation(seq, kM1, 3, options);
   EXPECT_FALSE(r.proven);
   // Still a valid allocation (the greedy incumbent at worst) with a
@@ -375,26 +373,20 @@ TEST_P(ExactPropertyTest, ExactIsAtMostAllocatorAcrossMachineGrid) {
 
 TEST_P(ExactPropertyTest, PrunedSearchAgreesWithLegacyDfs) {
   // The bounds + dominance + symmetry machinery must never change the
-  // proven optimum, only how fast it is reached; and it must reach it
-  // with no more nodes than the legacy incumbent-only DFS.
+  // proven optimum, only how fast it is reached: checked against the
+  // brute-force enumerator on every pattern family. The test ID is kept
+  // from when an unpruned depth-first search was the reference.
   support::Rng rng(GetParam() * 1201 + 7);
   eval::PatternSpec spec;
-  spec.accesses = 6 + rng.index(6);  // up to 11: legacy still finishes
+  spec.accesses = 6 + rng.index(6);  // up to 11: brute force still finishes
   spec.offset_range = 5;
   spec.family = static_cast<eval::PatternFamily>(GetParam() % 4);
   const auto seq = eval::generate_pattern(spec, rng);
   const std::size_t k = 1 + rng.index(3);
 
-  ExactOptions legacy;
-  legacy.use_bounds = false;
-  legacy.use_dominance = false;
-  const ExactResult old_style =
-      exact_min_cost_allocation(seq, kM1, k, legacy);
   const ExactResult pruned = exact_min_cost_allocation(seq, kM1, k);
-  ASSERT_TRUE(old_style.proven);
   ASSERT_TRUE(pruned.proven);
-  EXPECT_EQ(pruned.cost, old_style.cost);
-  EXPECT_LE(pruned.nodes, old_style.nodes);
+  EXPECT_EQ(pruned.cost, brute_force_min_cost(seq, kM1, k));
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, ExactPropertyTest,

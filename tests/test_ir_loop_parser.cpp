@@ -141,6 +141,13 @@ struct LoopErrorCase {
   std::size_t line;
 };
 
+// Without this gtest prints the case's raw bytes, pointers included, and
+// the pointers move with address-space randomization: every test list,
+// and so every test name ctest discovers from it, would differ per build.
+void PrintTo(const LoopErrorCase& c, std::ostream* os) {
+  *os << "line " << c.line;
+}
+
 class LoopParserErrorTest
     : public ::testing::TestWithParam<LoopErrorCase> {};
 

@@ -89,6 +89,13 @@ struct ErrorCase {
   std::size_t line;
 };
 
+// Without this gtest prints the case's raw bytes, pointers included, and
+// the pointers move with address-space randomization: every test list,
+// and so every test name ctest discovers from it, would differ per build.
+void PrintTo(const ErrorCase& c, std::ostream* os) {
+  *os << "line " << c.line;
+}
+
 class ParserErrorTest : public ::testing::TestWithParam<ErrorCase> {};
 
 TEST_P(ParserErrorTest, ReportsLineNumber) {

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "agu/machines.hpp"
+#include "engine/engine.hpp"
 #include "eval/batch.hpp"
 #include "ir/kernels.hpp"
 #include "support/check.hpp"
@@ -16,6 +17,19 @@ namespace {
 
 const std::string kMachinesDir =
     std::string(DSPADDR_SOURCE_DIR) + "/workloads/machines/";
+
+/// Lowers, allocates, plans MRs, generates code and simulates `kernel`
+/// on `machine` through the engine's default pipeline.
+engine::Result run_on_machine(const ir::Kernel& kernel,
+                              const MachineSpec& machine) {
+  engine::Request request;
+  request.kernel = kernel;
+  request.machine = machine;
+  engine::Engine engine;
+  engine::Result result = engine.run(request);
+  EXPECT_TRUE(result.ok()) << result.error->message;
+  return result;
+}
 
 std::string slurp(const std::string& path) {
   std::ifstream file(path);
@@ -231,10 +245,10 @@ TEST(MachineFileParity, FileLoadedRunsAreByteIdentical) {
     SCOPED_TRACE(builtin.name);
     const MachineSpec loaded =
         load_machine_file(kMachinesDir + builtin.name + ".machine")[0];
-    const MachineRunReport a = run_on_machine(kernel, builtin);
-    const MachineRunReport b = run_on_machine(kernel, loaded);
+    const engine::Result a = run_on_machine(kernel, builtin);
+    const engine::Result b = run_on_machine(kernel, loaded);
     EXPECT_EQ(a.allocation_cost, b.allocation_cost);
-    EXPECT_EQ(a.residual_cost, b.residual_cost);
+    EXPECT_EQ(a.plan.residual_cost, b.plan.residual_cost);
     EXPECT_EQ(a.verified, b.verified);
   }
 }
@@ -296,9 +310,9 @@ TEST(MachineSpecSemantics, FileMachinesVerifyEndToEnd) {
     for (const char* file : files) {
       SCOPED_TRACE(kernel.name() + std::string(" on ") + file);
       const MachineSpec spec = load_machine_file(kMachinesDir + file)[0];
-      const MachineRunReport report = run_on_machine(kernel, spec);
+      const engine::Result report = run_on_machine(kernel, spec);
       EXPECT_TRUE(report.verified);
-      EXPECT_GE(report.allocation_cost, report.residual_cost);
+      EXPECT_GE(report.allocation_cost, report.plan.residual_cost);
     }
   }
 }
@@ -311,12 +325,12 @@ TEST(MachineSpecSemantics, PreModifyMatchesPostModifyCosts) {
   MachineSpec pre = load_machine_file(kMachinesDir + "arm946e_wb.machine")[0];
   MachineSpec post = pre;
   post.addressing = Addressing::kPostModify;
-  const MachineRunReport a = run_on_machine(kernel, pre);
-  const MachineRunReport b = run_on_machine(kernel, post);
+  const engine::Result a = run_on_machine(kernel, pre);
+  const engine::Result b = run_on_machine(kernel, post);
   EXPECT_TRUE(a.verified);
   EXPECT_TRUE(b.verified);
   EXPECT_EQ(a.allocation_cost, b.allocation_cost);
-  EXPECT_EQ(a.residual_cost, b.residual_cost);
+  EXPECT_EQ(a.plan.residual_cost, b.plan.residual_cost);
 }
 
 // --------------------------------------------------------- structural key

@@ -417,9 +417,9 @@ TEST(StoreEngine, SecondBootAnswersFromStoreByteIdentically) {
   EXPECT_FALSE(warm.cache_hit);
   EXPECT_EQ(engine::result_to_json_line(warm), cold_json);
   // Nothing was searched on the second boot.
-  const engine::Phase2Totals totals = engine.phase2_totals();
-  EXPECT_EQ(totals.nodes, 0u);
-  EXPECT_EQ(totals.proven, 0u);
+  obs::Registry& metrics = *engine.metrics();
+  EXPECT_EQ(metrics.counter("engine.phase2.nodes").value(), 0u);
+  EXPECT_EQ(metrics.counter("engine.phase2.proven").value(), 0u);
   // The store hit was promoted into the RAM tier: the next call is a
   // plain RAM hit, still byte-identical.
   const engine::Result ram = engine.run(fir_request());
