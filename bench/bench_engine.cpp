@@ -6,16 +6,24 @@
 // pays the full pass sequence. BM_EngineWarmCache pre-warms one engine
 // and replays the same request mix; every run is a lookup + copy. The
 // printed summary reports the resulting speedup on the repeated-kernel
-// workload (expected well beyond 5x — the exact phase-2 search alone
-// costs milliseconds, a hit costs microseconds).
+// workload as data (the exact phase-2 search alone costs milliseconds,
+// a hit costs microseconds) and checks two deterministic facts; the
+// bench exits 1 when either fails:
+//  * cache accounting: the warm-up pass misses once per request and
+//    every later request hits;
+//  * answers: every warm answer renders byte-identically to the cold
+//    one.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <iostream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "agu/machines.hpp"
 #include "engine/engine.hpp"
+#include "engine/serialize.hpp"
 #include "ir/kernels.hpp"
 
 namespace {
@@ -77,17 +85,22 @@ void BM_EngineWarmCache(benchmark::State& state) {
 BENCHMARK(BM_EngineWarmCache)->Unit(benchmark::kMillisecond);
 
 /// One-shot summary: measured cold vs warm requests/sec and the
-/// speedup, printed before the benchmark table.
-void print_speedup_summary() {
+/// speedup, printed before the benchmark table, plus the cache
+/// accounting and answer checks. True when both checks pass.
+bool print_speedup_summary() {
   using Clock = std::chrono::steady_clock;
   const std::vector<engine::Request> requests = workload();
 
+  // Each timed loop keeps its first round's results (a move, not a
+  // render) for the answer check after the clock stops.
   engine::Engine cold(engine::Engine::Options{0});
+  std::vector<engine::Result> cold_results;
   const auto cold_start = Clock::now();
   constexpr int kColdRounds = 3;
   for (int round = 0; round < kColdRounds; ++round) {
     for (const engine::Request& request : requests) {
-      cold.run(request);
+      engine::Result result = cold.run(request);
+      if (round == 0) cold_results.push_back(std::move(result));
     }
   }
   const double cold_s =
@@ -99,11 +112,13 @@ void print_speedup_summary() {
   for (const engine::Request& request : requests) {
     warm.run(request);
   }
+  std::vector<engine::Result> warm_results;
   const auto warm_start = Clock::now();
   constexpr int kWarmRounds = 50;
   for (int round = 0; round < kWarmRounds; ++round) {
     for (const engine::Request& request : requests) {
-      warm.run(request);
+      engine::Result result = warm.run(request);
+      if (round == 0) warm_results.push_back(std::move(result));
     }
   }
   const double warm_s =
@@ -111,7 +126,18 @@ void print_speedup_summary() {
   const double warm_rps =
       kWarmRounds * static_cast<double>(requests.size()) / warm_s;
 
+  std::size_t answers_differing = 0;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (engine::result_to_json_line(warm_results[i]) !=
+        engine::result_to_json_line(cold_results[i])) {
+      ++answers_differing;
+    }
+  }
   const engine::CacheStats stats = warm.cache_stats();
+  const bool accounting_ok =
+      stats.misses == requests.size() &&
+      stats.hits == kWarmRounds * requests.size();
+  const bool answers_ok = answers_differing == 0;
   std::cout << "=== Engine cache speedup (repeated-kernel workload, "
             << requests.size() << " requests/round) ===\n"
             << "  cold: " << static_cast<std::int64_t>(cold_rps)
@@ -119,17 +145,23 @@ void print_speedup_summary() {
             << "  warm: " << static_cast<std::int64_t>(warm_rps)
             << " req/s  (" << stats.hits << " hits / " << stats.misses
             << " misses)\n"
-            << "  speedup: " << warm_rps / cold_rps << "x  "
-            << (warm_rps > 5.0 * cold_rps ? "(> 5x: OK)"
-                                          : "(< 5x: REGRESSION)")
+            << "  speedup: " << warm_rps / cold_rps << "x\n"
+            << "  cache accounting (misses = first pass, every warm "
+               "request a hit): "
+            << (accounting_ok ? "OK" : "FAILED") << "\n"
+            << "  warm answers = cold answers: "
+            << (answers_ok ? "OK"
+                           : "FAILED (" + std::to_string(answers_differing) +
+                                 " differ)")
             << "\n\n";
+  return accounting_ok && answers_ok;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_speedup_summary();
+  const bool ok = print_speedup_summary();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return ok ? 0 : 1;
 }

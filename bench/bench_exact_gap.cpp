@@ -81,7 +81,6 @@ void print_gap_table() {
         core::ProblemConfig config;
         config.modify_range = 1;
         config.registers = k;
-        config.phase1.mode = core::Phase1Options::Mode::kExact;
         const int heuristic =
             core::RegisterAllocator(config).run(seq).cost();
         const int naive = baselines::naive_allocate(seq, config).cost();

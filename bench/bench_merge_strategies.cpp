@@ -15,8 +15,8 @@
 #include <iostream>
 
 #include "core/access_graph.hpp"
-#include "core/branch_and_bound.hpp"
 #include "core/merging.hpp"
+#include "core/phase1.hpp"
 #include "eval/patterns.hpp"
 #include "support/stats.hpp"
 #include "support/strings.hpp"

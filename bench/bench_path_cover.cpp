@@ -1,18 +1,19 @@
 // Experiment T3 — phase 1 machinery (paper section 3.1): the number of
-// virtual registers K~ computed by branch-and-bound, bracketed by the
-// matching lower bound (Araujo et al. [2]) and the greedy upper bound.
+// virtual registers K~ computed by the exact search (core/exact.hpp,
+// asking for ever smaller zero-cost covers), bracketed by the matching
+// lower bound (Araujo et al. [2]) and the greedy upper bound.
 //
 // The paper claims the procedure is fast because "based on these
 // bounds, one can quickly decide whether or not a certain graph edge
 // must be included in the path cover". The table shows, per pattern
 // size, how tight the bounds are (mean LB / K~ / UB, how often LB = K~,
-// how often UB = K~) and how many search nodes the exact search
-// explores; google-benchmark times all three computations.
+// how often UB = K~) and how many nodes the exact search explores over
+// all of its questions; google-benchmark times all three computations.
 #include <benchmark/benchmark.h>
 
 #include <iostream>
 
-#include "core/branch_and_bound.hpp"
+#include "core/phase1.hpp"
 #include "eval/patterns.hpp"
 #include "support/stats.hpp"
 #include "support/strings.hpp"
@@ -40,10 +41,7 @@ void print_bounds_table() {
         const ir::AccessSequence seq = eval::generate_pattern(spec, rng);
         const core::AccessGraph graph(
             seq, core::CostModel{m, core::WrapPolicy::kCyclic});
-        core::Phase1Options options;
-        options.mode = core::Phase1Options::Mode::kExact;
-        const core::Phase1Result r =
-            core::compute_min_register_cover(graph, options);
+        const core::Phase1Result r = core::compute_min_register_cover(graph);
         if (!r.k_tilde.has_value()) continue;
         lb_stats.add(static_cast<double>(r.lower_bound));
         kt_stats.add(static_cast<double>(*r.k_tilde));
@@ -66,7 +64,7 @@ void print_bounds_table() {
       });
     }
   }
-  std::cout << "T3: phase-1 bounds and exact K~ (branch-and-bound), "
+  std::cout << "T3: phase-1 bounds and exact K~ (exact search), "
             << kTrials << " uniform patterns per row\n\n";
   table.write(std::cout);
   std::cout << "\nLB = matching bound on the intra-iteration DAG; "
@@ -101,18 +99,15 @@ void BM_GreedyUpperBound(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyUpperBound)->Arg(16)->Arg(64)->Arg(256);
 
-void BM_BranchAndBoundExact(benchmark::State& state) {
+void BM_Phase1Exact(benchmark::State& state) {
   const auto seq = pattern_of_size(static_cast<std::size_t>(state.range(0)));
   const core::AccessGraph graph(
       seq, core::CostModel{1, core::WrapPolicy::kCyclic});
-  core::Phase1Options options;
-  options.mode = core::Phase1Options::Mode::kExact;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::compute_min_register_cover(graph, options).k_tilde);
+    benchmark::DoNotOptimize(core::compute_min_register_cover(graph).k_tilde);
   }
 }
-BENCHMARK(BM_BranchAndBoundExact)->Arg(12)->Arg(16)->Arg(20);
+BENCHMARK(BM_Phase1Exact)->Arg(12)->Arg(16)->Arg(20);
 
 }  // namespace
 

@@ -7,9 +7,9 @@
 // exact phase-2 solver) and the cache is disabled, so each line pays
 // the full pass sequence: the measured speedup is pure pipeline
 // parallelism, not memoization. The printed summary reports jobs=8 vs
-// jobs=1 and flags < 2x as a regression — on hosts with fewer than 4
-// hardware threads the gate is informational only, since the scaling
-// physically cannot happen there.
+// jobs=1 as data: the speedup follows the host's cores and load, so it
+// gates nothing (CI checks instead that jobs levels answer
+// byte-identically).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -86,7 +86,7 @@ BENCHMARK(BM_ServePipeline)->Arg(1)->Arg(4)->Arg(8)->Unit(
     benchmark::kMillisecond);
 
 /// One-shot summary printed before the benchmark table: requests/sec
-/// per jobs level and the jobs=8 vs jobs=1 speedup gate.
+/// per jobs level and the jobs=8 vs jobs=1 speedup.
 void print_speedup_summary() {
   std::size_t lines = 0;
   const std::string input = workload_jsonl(&lines);
@@ -107,16 +107,8 @@ void print_speedup_summary() {
       rps8 = rps;
     }
   }
-  const double speedup = rps8 / rps1;
-  const unsigned hardware = std::thread::hardware_concurrency();
-  std::cout << "  speedup (jobs=8 vs jobs=1): " << speedup << "x  ";
-  if (hardware < 4) {
-    std::cout << "(" << hardware
-              << "-core host: 2x gate not enforced)\n\n";
-  } else {
-    std::cout << (speedup >= 2.0 ? "(>= 2x: OK)" : "(< 2x: REGRESSION)")
-              << "\n\n";
-  }
+  std::cout << "  speedup (jobs=8 vs jobs=1): " << rps8 / rps1 << "x on "
+            << std::thread::hardware_concurrency() << " hardware threads\n\n";
 }
 
 }  // namespace

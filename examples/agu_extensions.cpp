@@ -26,7 +26,6 @@ int main() {
   core::ProblemConfig config;
   config.modify_range = 1;
   config.registers = 2;  // register-starved: K < K~ = 3
-  config.phase1.mode = core::Phase1Options::Mode::kExact;
 
   const core::Allocation base = core::RegisterAllocator(config).run(seq);
   std::cout << "Paper example, K = 2: cost " << base.cost()

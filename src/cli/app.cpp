@@ -55,7 +55,6 @@ int command_run(const std::vector<std::string>& args, std::ostream& out) {
   phase2.mode = options.phase2;
   phase2.time_budget_ms = options.time_budget_ms;
   phase2.jobs = options.phase2_jobs;
-  phase2.steal_grain = options.phase2_steal_grain;
   if (options.phase2_window != 0) {
     phase2.tile_width = options.phase2_window;
   }
@@ -175,7 +174,6 @@ int command_batch(const std::vector<std::string>& args, std::ostream& out) {
   config.phase2.mode = options.phase2;
   config.phase2.time_budget_ms = options.time_budget_ms;
   config.phase2.jobs = options.phase2_jobs;
-  config.phase2.steal_grain = options.phase2_steal_grain;
   if (options.phase2_window != 0) {
     config.phase2.tile_width = options.phase2_window;
   }

@@ -227,9 +227,6 @@ RunOptions parse_run_options(const std::vector<std::string>& args) {
       options.phase2 = parse_phase2_mode(value);
     } else if (match_flag(arg, "--phase2-jobs", cursor, value)) {
       options.phase2_jobs = parse_size(value, "--phase2-jobs", 1);
-    } else if (match_flag(arg, "--phase2-steal-grain", cursor, value)) {
-      options.phase2_steal_grain =
-          parse_size(value, "--phase2-steal-grain", 1);
     } else if (match_flag(arg, "--phase2-window", cursor, value)) {
       if (value == "auto") {
         options.phase2_window_auto = true;
@@ -295,9 +292,6 @@ BatchOptions parse_batch_options(const std::vector<std::string>& args) {
       options.phase2 = parse_phase2_mode(value);
     } else if (match_flag(arg, "--phase2-jobs", cursor, value)) {
       options.phase2_jobs = parse_size(value, "--phase2-jobs", 1);
-    } else if (match_flag(arg, "--phase2-steal-grain", cursor, value)) {
-      options.phase2_steal_grain =
-          parse_size(value, "--phase2-steal-grain", 1);
     } else if (match_flag(arg, "--phase2-window", cursor, value)) {
       if (value == "auto") {
         options.phase2_window_auto = true;

@@ -73,10 +73,6 @@ struct RunOptions {
   /// --jobs): > 1 runs the search on a work-stealing pool. Costs are
   /// identical at any level; node counts may vary.
   std::size_t phase2_jobs = 1;
-  /// Donated-subtree grain of the parallel phase-2 search
-  /// (--phase2-steal-grain); 0 = the built-in default. Tuning it never
-  /// changes costs.
-  std::size_t phase2_steal_grain = 0;
   /// Tiled window width (--phase2-window): 0 keeps the default fixed
   /// width; N >= 8 sets it; "auto" enables per-window auto-tuning.
   std::size_t phase2_window = 0;
@@ -135,9 +131,6 @@ struct BatchOptions {
   /// --jobs parallelizes across rows instead). Costs are identical at
   /// any level, so the CSV cost columns never depend on it.
   std::size_t phase2_jobs = 1;
-  /// Donated-subtree grain of each row's parallel phase-2 search
-  /// (--phase2-steal-grain); 0 = the built-in default.
-  std::size_t phase2_steal_grain = 0;
   /// Tiled window width (--phase2-window): 0 = default fixed width,
   /// N >= 8 sets it, "auto" tunes per window.
   std::size_t phase2_window = 0;

@@ -38,7 +38,7 @@ constexpr const char* kKnownKeys[] = {
     "kernel",      "machine",    "machine_file",
     "machine_spec", "registers", "modify_range",
     "modify_registers", "iterations", "phase2",
-    "phase2_jobs", "phase2_steal_grain", "phase2_window",
+    "phase2_jobs", "phase2_window",
     "time_budget_ms", "stop_after",
     "layout",      "strategy",   "race_budget_ms",
 };
@@ -152,8 +152,6 @@ engine::Request request_from_json(const JsonValue& json,
   // unless a request opts in.
   request.phase2.jobs =
       static_cast<std::size_t>(int_field(json, "phase2_jobs", 1, 1));
-  request.phase2.steal_grain =
-      static_cast<std::size_t>(int_field(json, "phase2_steal_grain", 0, 0));
   // "phase2_window": a width (>= 8) or the string "auto" — the same
   // surface as the CLI's --phase2-window.
   if (const JsonValue* window = json.find("phase2_window")) {

@@ -40,8 +40,8 @@ private:
   ir::AccessSequence seq_;
   CostModel model_;
   graph::Digraph intra_;
-  // wrap_ok_[last * N + first]; materialized because phase 1 queries it
-  // on every branch.
+  // wrap_ok_[last * N + first]; materialized because phase 1's greedy
+  // cover and its split repair query it repeatedly.
   std::vector<bool> wrap_ok_;
 };
 

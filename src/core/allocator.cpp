@@ -75,8 +75,7 @@ Allocation RegisterAllocator::run(const ir::AccessSequence& seq) const {
   }
 
   const AccessGraph graph(seq, model);
-  const Phase1Result phase1 =
-      compute_min_register_cover(graph, config_.phase1);
+  const Phase1Result phase1 = compute_min_register_cover(graph);
   stats.k_tilde = phase1.k_tilde;
   stats.lower_bound = phase1.lower_bound;
   stats.upper_bound = phase1.upper_bound;
@@ -111,7 +110,6 @@ Allocation RegisterAllocator::run(const ir::AccessSequence& seq) const {
     options.max_nodes = phase2.max_nodes;
     options.time_budget_ms = phase2.time_budget_ms;
     options.jobs = phase2.jobs;
-    options.steal_grain = phase2.steal_grain;
     options.warm_start = paths;
     options.abort = phase2.abort;
     const auto search_start = std::chrono::steady_clock::now();
@@ -150,7 +148,6 @@ Allocation RegisterAllocator::run(const ir::AccessSequence& seq) const {
     options.max_nodes = phase2.max_nodes;
     options.time_budget_ms = phase2.time_budget_ms;
     options.jobs = phase2.jobs;
-    options.steal_grain = phase2.steal_grain;
     options.abort = phase2.abort;
     const auto search_start = std::chrono::steady_clock::now();
     const TiledResult tiled = tiled_min_cost_allocation(

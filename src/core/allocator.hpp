@@ -4,12 +4,13 @@
 //   core::RegisterAllocator alloc({.modify_range = 1, .registers = 2});
 //   core::Allocation a = alloc.run(seq);
 //
-// Phase 1 computes the minimum zero-cost cover (K~ virtual registers);
-// phase 2 reduces to the physical register count K — by cost-guided
-// merging (the paper's heuristic), and by default also by the anytime
-// exact branch-and-bound (core/exact.hpp) warm-started with the
-// heuristic result, which upgrades the allocation to a proven optimum
-// on realistically sized kernels.
+// Phase 1 computes the minimum zero-cost cover (K~ virtual registers,
+// core/phase1.hpp); phase 2 reduces to the physical register count K —
+// by cost-guided merging (the paper's heuristic), and by default also by
+// the anytime exact branch-and-bound (core/exact.hpp) warm-started with
+// the heuristic result, which upgrades the allocation to a proven
+// optimum on realistically sized kernels. Both phases search with the
+// same core.
 #pragma once
 
 #include <cstdint>
@@ -17,11 +18,11 @@
 #include <string>
 #include <vector>
 
-#include "core/branch_and_bound.hpp"
 #include "core/cost_model.hpp"
 #include "core/exact.hpp"
 #include "core/merging.hpp"
 #include "core/path.hpp"
+#include "core/phase1.hpp"
 #include "ir/access_sequence.hpp"
 
 namespace dspaddr::core {
@@ -57,10 +58,6 @@ struct Phase2Options {
   /// the exact sequential search, > 1 runs it on a work-stealing pool
   /// (runtime::StealPool). Proven costs are identical at any level.
   std::size_t jobs = 1;
-  /// Minimum unassigned-suffix length of a donated subtree when
-  /// `jobs > 1` (ExactOptions::steal_grain); 0 uses the built-in
-  /// default. Any value yields the same proven cost.
-  std::size_t steal_grain = 0;
   /// Window geometry of kTiled (TiledOptions).
   std::size_t tile_width = 20;
   std::size_t tile_overlap = 6;
@@ -89,7 +86,6 @@ struct ProblemConfig {
   /// Number of physical address registers K (>= 1).
   std::size_t registers = 1;
   WrapPolicy wrap = WrapPolicy::kCyclic;
-  Phase1Options phase1 = {};
   MergeOptions merge = {};
   Phase2Options phase2 = {};
 
@@ -105,7 +101,7 @@ struct ProblemConfig {
 
 /// Diagnostic counters of one allocator run.
 struct AllocationStats {
-  /// K~ (nullopt when no zero-cost cover exists, see Phase1Result).
+  /// K~ (nullopt when no zero-cost cover is known, see Phase1Result).
   std::optional<std::size_t> k_tilde;
   std::size_t lower_bound = 0;
   std::optional<std::size_t> upper_bound;

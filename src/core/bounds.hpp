@@ -38,7 +38,7 @@ std::vector<Path> acyclic_optimal_cover(const AccessGraph& graph);
 /// bound on K~. Returns nullopt when the greedy cannot produce one —
 /// only possible when some access has |stride| > M (singletons no longer
 /// close for free); a zero-cost cover may still exist in that case and
-/// the branch-and-bound search decides conclusively.
+/// phase 1's exact search (core/phase1.hpp) decides.
 std::optional<std::vector<Path>> greedy_zero_cost_cover(
     const AccessGraph& graph);
 

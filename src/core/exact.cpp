@@ -5,8 +5,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -30,11 +32,11 @@ constexpr std::size_t kDefaultTableCap = std::size_t{1} << 21;
 /// Covers the whole builtin machine catalog (max K = 8).
 constexpr std::size_t kMaxDominanceRegisters = 8;
 
-/// Default ExactOptions::steal_grain: a donated subtree must still
-/// have at least this many accesses to assign. Small enough that work
-/// remains stealable close to the leaves of a skewed tree, large
-/// enough that a stolen task amortizes its replay + scheduling cost
-/// over hundreds of nodes.
+/// A donated subtree must still have at least this many accesses to
+/// assign. Small enough that work remains stealable close to the leaves
+/// of a skewed tree, large enough that a stolen task amortizes its
+/// replay + scheduling cost over hundreds of nodes. Every grain proves
+/// the same cost.
 constexpr std::size_t kDefaultStealGrain = 8;
 
 /// Fixed-size, allocation-free transposition key: the next access in
@@ -65,6 +67,10 @@ using Clock = std::chrono::steady_clock;
 using Table = std::unordered_map<StateKey, int, StateKeyHash>;
 
 constexpr std::size_t kUnassigned = std::numeric_limits<std::size_t>::max();
+
+/// Tie rank of the fresh register under SearchContext::nearest_first:
+/// after every append.
+constexpr std::uint32_t kFreshTie = std::numeric_limits<std::uint32_t>::max();
 
 /// Transposition table shared by every subtree task of a parallel
 /// solve, striped-mutexed so pruning decisions see the states *all*
@@ -124,9 +130,7 @@ struct SearchContext {
         bounds(sequence, cost_model),
         table_cap(opts.table_cap == 0 ? kDefaultTableCap : opts.table_cap),
         use_dominance(register_count <= kMaxDominanceRegisters),
-        max_nodes(opts.max_nodes),
-        steal_grain(opts.steal_grain == 0 ? kDefaultStealGrain
-                                          : opts.steal_grain) {}
+        max_nodes(opts.max_nodes) {}
 
   /// Starts the wall clock immediately before the search proper, so
   /// table construction and incumbent seeding never eat the budget.
@@ -161,6 +165,10 @@ struct SearchContext {
   const bool use_dominance;
 
   const std::uint64_t max_nodes;
+  /// Tie order among equal-cost moves: false (phase 2) keeps appends
+  /// before the fresh register in register order; true (phase 1) takes
+  /// the nearest endpoint first, by |offset distance|, fresh last.
+  bool nearest_first = false;
   bool has_deadline = false;
   Clock::time_point deadline;
 
@@ -188,8 +196,6 @@ struct SearchContext {
   /// searcher polls pool->hungry() every ~1024 nodes and donates its
   /// shallowest untried subtrees while workers are starving.
   runtime::StealPool* pool = nullptr;
-  /// Minimum unassigned-suffix length of a donated subtree.
-  const std::size_t steal_grain;
 };
 
 /// Runs one pinned-prefix subtree task on the shared context. This is
@@ -262,13 +268,18 @@ class Searcher {
     std::size_t wrap_horizon = 0;
   };
 
-  /// Candidate placement of the next access, for cheapest-first
-  /// ordering.
+  /// Candidate placement of the next access, ordered by (step, tie):
+  /// cheapest first, then SearchContext::nearest_first's tie order.
   struct Move {
     std::uint32_t reg;
     std::int32_t step;
+    std::uint32_t tie;
     bool fresh;
   };
+
+  static bool before(const Move& a, const Move& b) {
+    return a.step != b.step ? a.step < b.step : a.tie < b.tie;
+  }
 
   /// One suspended search node: the arena slice of its candidate
   /// moves, the cursor into them, and the undo record of the move
@@ -421,7 +432,7 @@ class Searcher {
 
   /// Feeds starving workers: scanning from the shallowest frame — the
   /// biggest pending subtrees — republish the *last* untried move of
-  /// any frame whose subtree still has at least `steal_grain`
+  /// any frame whose subtree still has at least kDefaultStealGrain
   /// unassigned accesses as a stealable pinned-prefix task, removing
   /// it from the owner's candidate range. Taking from the cheap-first
   /// range's tail keeps the owner on the likeliest-best moves; the
@@ -432,7 +443,7 @@ class Searcher {
     runtime::StealPool& pool = *ctx_.pool;
     for (std::size_t f = 0; f < frames_.size() && pool.hungry(); ++f) {
       Frame& frame = frames_[f];
-      if (n_ - frame.next < ctx_.steal_grain) {
+      if (n_ - frame.next < kDefaultStealGrain) {
         break;  // deeper frames have even shorter suffixes
       }
       while (frame.move_cursor < frame.move_end && pool.hungry()) {
@@ -496,10 +507,23 @@ class Searcher {
     return true;
   }
 
+  /// Tie rank of appending `next` to register `r`: 0 in phase 2 (the
+  /// fresh register's 1 sorts it last); the |offset distance| in phase
+  /// 1, saturated below the fresh register's rank.
+  std::uint32_t append_tie(std::size_t r, std::size_t next) const {
+    if (!ctx_.nearest_first) return 0;
+    const std::optional<std::int64_t> distance =
+        ctx_.seq.intra_distance(states_[r].last, next);
+    if (!distance.has_value()) return kFreshTie - 1;
+    return static_cast<std::uint32_t>(std::min<std::uint64_t>(
+        static_cast<std::uint64_t>(std::llabs(*distance)), kFreshTie - 1));
+  }
+
   /// Generates the candidate moves of `next` into the arena and pushes
   /// the frame. Used registers occupy indices [0, used_count_): one
   /// move per distinct register state plus at most one fresh opening,
-  /// cheapest-first.
+  /// cheapest-first. A stable insertion sort keeps equal moves in
+  /// register order without the buffer std::stable_sort allocates.
   void push_frame(std::size_t next, int cost) {
     const std::uint32_t begin = static_cast<std::uint32_t>(arena_.size());
     for (std::size_t r = 0; r < used_count_; ++r) {
@@ -509,16 +533,21 @@ class Searcher {
       }
       if (symmetric) continue;
       arena_.push_back(Move{static_cast<std::uint32_t>(r),
-                            transition(states_[r].last, next), false});
+                            transition(states_[r].last, next),
+                            append_tie(r, next), false});
     }
     if (used_count_ < ctx_.registers) {
-      arena_.push_back(Move{static_cast<std::uint32_t>(used_count_), 0, true});
+      arena_.push_back(Move{static_cast<std::uint32_t>(used_count_), 0,
+                            ctx_.nearest_first ? kFreshTie : 1, true});
     }
-    std::stable_sort(arena_.begin() + begin, arena_.end(),
-                     [](const Move& a, const Move& b) {
-                       if (a.step != b.step) return a.step < b.step;
-                       return !a.fresh && b.fresh;
-                     });
+    for (std::size_t i = begin + 1; i < arena_.size(); ++i) {
+      const Move move = arena_[i];
+      std::size_t j = i;
+      for (; j > begin && before(move, arena_[j - 1]); --j) {
+        arena_[j] = arena_[j - 1];
+      }
+      arena_[j] = move;
+    }
     Frame frame;
     frame.next = static_cast<std::uint32_t>(next);
     frame.cost = cost;
@@ -564,7 +593,9 @@ class Searcher {
   /// The flat DFS driver: the top frame undoes its applied move, then
   /// either advances to its next candidate or pops (releasing its
   /// arena slice). An abort just unwinds — the incumbent is already
-  /// recorded in the context.
+  /// recorded in the context. Moves are sorted by step, so once one
+  /// would pay the incumbent, visit would cut it and every move after
+  /// it before counting a node: the frame is done.
   void loop() {
     while (!frames_.empty()) {
       Frame& frame = frames_.back();
@@ -575,6 +606,11 @@ class Searcher {
         continue;
       }
       const Move move = arena_[frame.move_cursor++];
+      if (frame.cost + move.step >=
+          ctx_.best_cost.load(std::memory_order_relaxed)) {
+        frame.move_cursor = frame.move_end;
+        continue;
+      }
       apply_move(frame, move);
       visit(frame.next + 1, frame.cost + move.step);
     }
@@ -741,6 +777,20 @@ void run_parallel(SearchContext& ctx, std::size_t jobs,
   ctx.shared_table = nullptr;
 }
 
+/// The paths of an access -> register assignment, in register order.
+std::vector<Path> paths_of(const std::vector<std::size_t>& assignment,
+                           std::size_t registers) {
+  std::vector<std::vector<std::size_t>> groups(registers);
+  for (std::size_t i = 0; i < assignment.size(); ++i) {
+    groups[assignment[i]].push_back(i);
+  }
+  std::vector<Path> paths;
+  for (auto& group : groups) {
+    if (!group.empty()) paths.emplace_back(std::move(group));
+  }
+  return paths;
+}
+
 ExactResult run_search(const ir::AccessSequence& seq, const CostModel& model,
                        std::size_t registers, const ExactOptions& options) {
   SearchContext ctx(seq, model, registers, options);
@@ -776,13 +826,7 @@ ExactResult run_search(const ir::AccessSequence& seq, const CostModel& model,
       result.proven ? result.cost : std::min(root_lb, result.cost);
   result.table_cap_hits = ctx.cap_hits.load(std::memory_order_relaxed);
   result.external_abort = ctx.external_abort.load(std::memory_order_relaxed);
-  std::vector<std::vector<std::size_t>> groups(registers);
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    groups[ctx.best_assignment[i]].push_back(i);
-  }
-  for (auto& group : groups) {
-    if (!group.empty()) result.paths.emplace_back(std::move(group));
-  }
+  result.paths = paths_of(ctx.best_assignment, registers);
   return result;
 }
 
@@ -823,6 +867,45 @@ ExactResult exact_min_cost_allocation(const ir::AccessSequence& seq,
   check_invariant(result.cost != std::numeric_limits<int>::max(),
                   "exact_min_cost_allocation: no assignment found");
   validate_allocation(seq, result.paths, registers);
+  return result;
+}
+
+ZeroCostCover zero_cost_cover(const ir::AccessSequence& seq,
+                              const CostModel& model, std::size_t registers,
+                              std::uint64_t max_nodes) {
+  check_arg(registers >= 1, "zero_cost_cover: need at least one register");
+  ZeroCostCover result;
+  result.proven = true;
+  if (seq.empty()) {
+    result.paths.emplace();
+    return result;
+  }
+
+  const std::size_t effective = std::min(registers, seq.size());
+  ExactOptions options;
+  options.max_nodes = max_nodes;
+  SearchContext ctx(seq, model, effective, options);
+  ctx.nearest_first = true;
+  // An incumbent of cost 1 with no witness: the bound cuts every partial
+  // assignment that would pay anything, and the first zero-cost leaf
+  // (cost 0 < 1) is recorded and ends the search.
+  ctx.best_cost.store(1, std::memory_order_relaxed);
+  if (ctx.bounds.root_lower_bound(effective) == 0) {
+    Searcher searcher(ctx, ctx.table_cap);
+    searcher.run({});
+  }
+
+  // The node that tripped the cap was refused, not expanded.
+  result.nodes =
+      std::min(ctx.nodes.load(std::memory_order_relaxed), max_nodes);
+  if (ctx.best_cost.load(std::memory_order_relaxed) == 0) {
+    result.paths = paths_of(ctx.best_assignment, effective);
+    validate_allocation(seq, *result.paths, registers);
+    check_invariant(total_cost(seq, *result.paths, model) == 0,
+                    "zero_cost_cover: the cover is not zero-cost");
+  } else {
+    result.proven = !ctx.aborted.load(std::memory_order_relaxed);
+  }
   return result;
 }
 

@@ -1,12 +1,20 @@
-// Exact minimum-cost allocation by anytime branch-and-bound — the
-// optimality oracle for the two-phase heuristic and the default phase-2
-// solver for realistically sized kernels.
+// Exact branch-and-bound over register assignments — the one search
+// core of the allocator. It answers two questions:
+//  * phase 2 (exact_min_cost_allocation): the minimum-cost allocation
+//    onto at most K registers — the optimality oracle for the two-phase
+//    heuristic and the default phase-2 solver for realistically sized
+//    kernels;
+//  * phase 1 (zero_cost_cover): whether any zero-cost allocation onto
+//    at most k registers exists — the question core/phase1.hpp asks
+//    with shrinking k to compute K~ (paper section 3.1).
 //
 // The paper's heuristic decomposes the problem (zero-cost cover, then
-// cost-guided merging); this module solves the original problem
-// directly: over all partitions of the access sequence into at most K
+// cost-guided merging); phase 2 solves the original problem directly:
+// over all partitions of the access sequence into at most K
 // order-preserving subsequences, find one of minimum total cost under
-// the cost model.
+// the cost model. Phase 1 is the same search with the incumbent preset
+// to cost 1, so the admissible bound cuts every partial assignment that
+// would pay anything and the first zero-cost leaf ends the search.
 //
 // Search shape: accesses are assigned in sequence order; a state is the
 // (first, last) pair per register. The search itself is *flat*: an
@@ -28,18 +36,20 @@
 //    already-seen state at no lower cost (off for K > 8, where the
 //    fixed-size state key no longer fits);
 //  * move ordering: cheapest transition first, so good incumbents
-//    appear early and the incumbent bound bites sooner.
-// With `jobs > 1` the search runs on a work-stealing
+//    appear early and the incumbent bound bites sooner. Phase 1 breaks
+//    ties nearest endpoint first (fresh register last), so its covers
+//    follow the greedy's preference.
+// With `jobs > 1` the phase-2 search runs on a work-stealing
 // runtime::StealPool: one root task explores the tree, and whenever
 // the pool reports hungry workers a busy searcher donates its
-// shallowest untried subtree (as a pinned prefix, at least
-// `steal_grain` accesses deep) onto its own deque for an idle worker
-// to steal — so deep unbalanced trees keep every worker fed instead of
-// idling after a one-shot frontier wave. All tasks share the atomic
-// incumbent and a striped transposition table: the *cost* of the
-// result (and the proof) is identical at any jobs level, while the
-// witness assignment may differ among cost ties and node / steal /
-// split counts vary with scheduling.
+// shallowest untried subtree (as a pinned prefix, at least 8 accesses
+// deep) onto its own deque for an idle worker to steal — so deep
+// unbalanced trees keep every worker fed instead of idling after a
+// one-shot frontier wave. All tasks share the atomic incumbent and a
+// striped transposition table: the *cost* of the result (and the proof)
+// is identical at any jobs level, while the witness assignment may
+// differ among cost ties and node / steal / split counts vary with
+// scheduling.
 // The search is *anytime*: it is seeded with a greedy incumbent (or the
 // caller's warm start), honors node and wall-clock budgets, and on
 // abort returns the best incumbent with `proven == false` and the
@@ -48,6 +58,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/cost_model.hpp"
@@ -103,12 +114,6 @@ struct ExactOptions {
   /// witness assignment may differ among cost ties and node counts
   /// vary.
   std::size_t jobs = 1;
-  /// Minimum unassigned-suffix length of a donated subtree: a busy
-  /// worker only splits off subtrees that still have at least this
-  /// many accesses to assign, so stolen tasks carry real work instead
-  /// of scheduler overhead. 0 uses the built-in default (8). Only read
-  /// when `jobs > 1`; any value yields the same proven cost.
-  std::size_t steal_grain = 0;
   /// Transposition-table entry cap; 0 uses the built-in default
   /// (2^21). Lookups past the cap still prune (and are counted in
   /// ExactResult::table_cap_hits), only insertion stops.
@@ -175,5 +180,26 @@ ExactResult exact_min_cost_allocation(const ir::AccessSequence& seq,
                                       const CostModel& model,
                                       std::size_t registers,
                                       const ExactOptions& options = {});
+
+/// Answer of zero_cost_cover.
+struct ZeroCostCover {
+  /// A zero-cost allocation onto at most the asked number of registers,
+  /// when the search found one.
+  std::optional<std::vector<Path>> paths;
+  /// True when the answer is conclusive: a cover was found, or the
+  /// search exhausted the tree without one. False when the node budget
+  /// ran out first.
+  bool proven = false;
+  /// Search nodes expanded (at most the budget).
+  std::uint64_t nodes = 0;
+};
+
+/// Whether `seq` admits a zero-cost allocation onto at most `registers`
+/// address registers under `model`, searching at most `max_nodes`
+/// nodes. Sequential and deterministic: the same question always walks
+/// the same tree and returns the same cover. `registers` must be >= 1.
+ZeroCostCover zero_cost_cover(const ir::AccessSequence& seq,
+                              const CostModel& model, std::size_t registers,
+                              std::uint64_t max_nodes);
 
 }  // namespace dspaddr::core

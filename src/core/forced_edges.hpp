@@ -9,7 +9,7 @@
 // *useless* iff no maximum matching uses it (forcing it shrinks the
 // matching). These classifications diagnose how constrained an instance
 // is — instances with many mandatory edges are nearly trivially covered;
-// instances with none give the branch-and-bound its hardest time.
+// instances with none give phase 1's exact search its hardest time.
 #pragma once
 
 #include <cstddef>

@@ -1,0 +1,66 @@
+#include "core/phase1.hpp"
+
+#include <utility>
+
+#include "core/exact.hpp"
+
+namespace dspaddr::core {
+
+Phase1Result compute_min_register_cover(const AccessGraph& graph) {
+  Phase1Result result;
+  const std::size_t n = graph.node_count();
+  if (n == 0) {
+    result.k_tilde = 0;
+    result.exact = true;
+    return result;
+  }
+
+  result.lower_bound = lower_bound_registers(graph);
+
+  // Under the acyclic model the matching cover is the exact optimum.
+  if (graph.model().wrap == WrapPolicy::kAcyclic) {
+    result.cover = acyclic_optimal_cover(graph);
+    result.k_tilde = result.cover.size();
+    result.upper_bound = result.cover.size();
+    result.exact = true;
+    return result;
+  }
+
+  std::optional<std::vector<Path>> greedy = greedy_zero_cost_cover(graph);
+  if (greedy.has_value()) {
+    result.upper_bound = greedy->size();
+    result.k_tilde = greedy->size();
+    result.cover = std::move(*greedy);
+  }
+
+  if (result.k_tilde == result.lower_bound) {
+    result.exact = true;
+  } else if (n <= kPhase1SearchAccessLimit) {
+    // Ask for a cover one register smaller than the best known (or, with
+    // no cover yet, for any cover at all) until none exists or the
+    // matching bound is reached.
+    result.exact = true;
+    std::uint64_t budget = kPhase1NodeBudget;
+    std::size_t registers = result.k_tilde.value_or(n + 1) - 1;
+    while (registers >= result.lower_bound) {
+      ZeroCostCover smaller =
+          zero_cost_cover(graph.sequence(), graph.model(), registers, budget);
+      result.search_nodes += smaller.nodes;
+      budget -= smaller.nodes;
+      if (!smaller.paths.has_value()) {
+        result.exact = smaller.proven;
+        break;
+      }
+      result.cover = std::move(*smaller.paths);
+      result.k_tilde = result.cover.size();
+      registers = result.cover.size() - 1;
+    }
+  }
+
+  if (!result.k_tilde.has_value()) {
+    result.cover = acyclic_optimal_cover(graph);
+  }
+  return result;
+}
+
+}  // namespace dspaddr::core

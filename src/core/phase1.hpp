@@ -1,0 +1,55 @@
+// Phase 1: K~, the minimum number of virtual address registers admitting
+// a zero-cost allocation (paper section 3.1 and the companion paper
+// [3]).
+//
+// The matching bound (core/bounds.hpp) brackets K~ from below and the
+// greedy zero-cost cover from above. Under the acyclic model the
+// matching cover is optimal. Otherwise the exact search of core/exact.hpp
+// answers "is there a zero-cost cover with at most k registers?" for
+// k one below the best cover known, until no cover exists or k drops
+// below the matching bound. When the greedy finds no cover (some
+// |stride| > M), the first question asks at N registers. All questions
+// of one run share one node budget.
+#pragma once
+
+#include <cstdint>
+#include <optional>
+#include <vector>
+
+#include "core/access_graph.hpp"
+#include "core/bounds.hpp"
+#include "core/path.hpp"
+
+namespace dspaddr::core {
+
+/// Above this many accesses phase 1 keeps the greedy cover and runs no
+/// search (the result is then not exact unless the bounds meet).
+constexpr std::size_t kPhase1SearchAccessLimit = 28;
+
+/// Search nodes one phase-1 run may spend over all of its questions;
+/// running out keeps the best cover found and degrades `exact` to false.
+constexpr std::uint64_t kPhase1NodeBudget = 500'000;
+
+/// Result of phase 1.
+struct Phase1Result {
+  /// A zero-cost cover of size k_tilde when one exists; otherwise the
+  /// acyclic-optimal cover (minimum intra-cost paths, wrap possibly
+  /// unit-cost) as the starting point for phase 2.
+  std::vector<Path> cover;
+  /// K~, when a zero-cost cover is known (always under kAcyclic; under
+  /// kCyclic none may exist, e.g. when |stride| > M for some access).
+  std::optional<std::size_t> k_tilde;
+  /// Matching lower bound on K~.
+  std::size_t lower_bound = 0;
+  /// Greedy upper bound (cover size), when the greedy found a cover.
+  std::optional<std::size_t> upper_bound;
+  /// True when the result is provably optimal (or provably infeasible).
+  bool exact = false;
+  /// Search nodes explored by the exact search (0 when it did not run).
+  std::uint64_t search_nodes = 0;
+};
+
+/// Runs phase 1 on the access graph.
+Phase1Result compute_min_register_cover(const AccessGraph& graph);
+
+}  // namespace dspaddr::core

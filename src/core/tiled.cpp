@@ -152,7 +152,6 @@ TiledResult tiled_min_cost_allocation(const ir::AccessSequence& seq,
                   1)
             : std::max<std::uint64_t>(options.max_nodes / fixed_total, 1);
     exact_options.jobs = options.jobs;
-    exact_options.steal_grain = options.steal_grain;
     exact_options.pinned_prefix = pinned;
     exact_options.abort = options.abort;
     if (options.time_budget_ms > 0) {

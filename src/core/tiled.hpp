@@ -60,9 +60,6 @@ struct TiledOptions {
   std::int64_t time_budget_ms = 0;
   /// Worker threads of each window's search (ExactOptions::jobs).
   std::size_t jobs = 1;
-  /// Donated-subtree grain of each window's parallel search
-  /// (ExactOptions::steal_grain); 0 uses the built-in default.
-  std::size_t steal_grain = 0;
   /// External cancellation, forwarded to every window's exact solve
   /// (SearchAbortHook). A cancelled sweep keeps the stitched allocation
   /// built so far plus the heuristic completion of the rest.

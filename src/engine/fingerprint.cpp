@@ -22,7 +22,9 @@ std::string request_fingerprint(const Request& request,
   // v3: the machine's bare (K, L, M) triple was replaced by its full
   // structural key, so machines that agree on the triple but differ in
   // window asymmetry, free widths or addressing mode never alias.
-  key += "v3|layout=";
+  // v4: the parallel solver's steal grain became a constant and left
+  // the key.
+  key += "v4|layout=";
   key += request.layout;
   key += "|strat=";
   key += request.strategy;
@@ -49,15 +51,12 @@ std::string request_fingerprint(const Request& request,
   key += std::to_string(request.phase2.max_nodes);
   key += ',';
   key += std::to_string(request.phase2.time_budget_ms);
-  // The jobs level (and steal grain) never changes costs, but the
-  // serialized diagnostics (node counts, subtree tasks, steal counts)
-  // do vary with them — and the tile geometry, auto-width included,
-  // changes the allocation itself — so none of them may alias in the
-  // cache.
+  // The jobs level never changes costs, but the serialized diagnostics
+  // (node counts, subtree tasks, steal counts) do vary with it — and
+  // the tile geometry, auto-width included, changes the allocation
+  // itself — so none of them may alias in the cache.
   key += ',';
   key += std::to_string(request.phase2.jobs);
-  key += ',';
-  key += std::to_string(request.phase2.steal_grain);
   key += ',';
   key += std::to_string(request.phase2.tile_width);
   key += ',';

@@ -37,7 +37,6 @@ SweepResult run_random_pattern_sweep(const SweepConfig& config) {
         core::ProblemConfig problem;
         problem.modify_range = m;
         problem.registers = k;
-        problem.phase1 = config.phase1;
         problem.phase2 = config.phase2;
 
         // Per-cell generator stream: decorrelated across cells, stable

@@ -28,8 +28,6 @@ struct SweepConfig {
   std::size_t trials = 100;
   std::uint64_t seed = 0xD5FADD21;
   PatternSpec pattern;  // accesses overwritten per cell
-  /// Phase-1 mode for both contenders (kAuto is exact for small N).
-  core::Phase1Options phase1;
   /// Phase-2 mode of the path-merge contender. Defaults to the paper's
   /// pure heuristic so T1 keeps measuring merging, not the exact
   /// search; switch to kAuto/kExact to sweep proven-optimality rates.

@@ -143,14 +143,12 @@ TEST(CliOptions, Phase2JobsAndTiledFlags) {
 TEST(CliOptions, StealGrainAndWindowFlags) {
   const cli::RunOptions defaults =
       cli::parse_run_options({"--kernel", "f.c"});
-  EXPECT_EQ(defaults.phase2_steal_grain, 0u);
   EXPECT_EQ(defaults.phase2_window, 0u);
   EXPECT_FALSE(defaults.phase2_window_auto);
 
   const cli::RunOptions run = cli::parse_run_options(
       {"--kernel", "f.c", "--phase2", "tiled", "--phase2-jobs", "4",
-       "--phase2-steal-grain", "12", "--phase2-window", "24"});
-  EXPECT_EQ(run.phase2_steal_grain, 12u);
+       "--phase2-window", "24"});
   EXPECT_EQ(run.phase2_window, 24u);
   EXPECT_FALSE(run.phase2_window_auto);
 
@@ -162,13 +160,15 @@ TEST(CliOptions, StealGrainAndWindowFlags) {
   EXPECT_EQ(tuned.phase2_window, 0u);
 
   const cli::BatchOptions batch = cli::parse_batch_options(
-      {"--builtin", "fir", "--phase2=tiled", "--phase2-window=auto",
-       "--phase2-steal-grain=4"});
+      {"--builtin", "fir", "--phase2=tiled", "--phase2-window=auto"});
   EXPECT_TRUE(batch.phase2_window_auto);
-  EXPECT_EQ(batch.phase2_steal_grain, 4u);
 
+  // The steal grain is a constant of the parallel solver, not a flag.
   EXPECT_THROW(cli::parse_run_options(
-                   {"--kernel", "f.c", "--phase2-steal-grain", "0"}),
+                   {"--kernel", "f.c", "--phase2-steal-grain", "12"}),
+               cli::UsageError);
+  EXPECT_THROW(cli::parse_batch_options(
+                   {"--builtin", "fir", "--phase2-steal-grain=4"}),
                cli::UsageError);
   EXPECT_THROW(
       cli::parse_run_options({"--kernel", "f.c", "--phase2-window", "4"}),

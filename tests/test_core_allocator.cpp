@@ -18,7 +18,6 @@ ProblemConfig paper_config(std::size_t k) {
   ProblemConfig config;
   config.modify_range = 1;
   config.registers = k;
-  config.phase1.mode = Phase1Options::Mode::kExact;
   return config;
 }
 
@@ -195,7 +194,6 @@ TEST_P(AllocatorPropertyTest, EnoughRegistersMeansZeroCost) {
   ProblemConfig config;
   config.modify_range = 1;
   config.registers = seq.size();  // K >= K~ always holds then
-  config.phase1.mode = Phase1Options::Mode::kExact;
   const Allocation a = RegisterAllocator(config).run(seq);
   EXPECT_EQ(a.cost(), 0);
   ASSERT_TRUE(a.stats().k_tilde.has_value());

@@ -59,7 +59,6 @@ TEST(ExactAllocator, HeuristicIsOptimalOnPaperExample) {
     ProblemConfig config;
     config.modify_range = 1;
     config.registers = k;
-    config.phase1.mode = Phase1Options::Mode::kExact;
     const int heuristic = RegisterAllocator(config).run(seq).cost();
     const int exact = exact_min_cost_allocation(seq, kM1, k).cost;
     EXPECT_EQ(heuristic, exact) << "K = " << k;
@@ -336,7 +335,6 @@ TEST_P(ExactPropertyTest, HeuristicNeverBeatsExact) {
   ProblemConfig config;
   config.modify_range = 1;
   config.registers = k;
-  config.phase1.mode = Phase1Options::Mode::kExact;
   const int heuristic = RegisterAllocator(config).run(seq).cost();
 
   const ExactResult exact = exact_min_cost_allocation(seq, kM1, k);

@@ -161,23 +161,6 @@ TEST(ParallelExact, DeepUnbalancedTreesActuallyGetStolen) {
   EXPECT_GT(total_steals, 0u);
 }
 
-TEST(ParallelExact, StealGrainNeverChangesTheProvenCost) {
-  // The grain bounds how shallow a donated subtree may be; it is a
-  // throughput knob, never a correctness knob.
-  const AccessSequence seq = skewed_pattern(24, 0x96A1);
-  const ExactResult serial = exact_min_cost_allocation(seq, kM1, 3);
-  ASSERT_TRUE(serial.proven);
-  for (const std::size_t grain : {1u, 4u, 32u}) {
-    ExactOptions options;
-    options.jobs = 4;
-    options.steal_grain = grain;
-    const ExactResult r = exact_min_cost_allocation(seq, kM1, 3, options);
-    ASSERT_TRUE(r.proven) << "grain " << grain;
-    EXPECT_EQ(r.cost, serial.cost) << "grain " << grain;
-    EXPECT_EQ(r.lower_bound, serial.lower_bound) << "grain " << grain;
-  }
-}
-
 TEST(ParallelExact, SequentialSolveReportsNoSubtreeTasks) {
   const AccessSequence seq = hard_pattern(20, 9);
   const ExactResult r = exact_min_cost_allocation(seq, kM1, 3);

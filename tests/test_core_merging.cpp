@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/access_graph.hpp"
-#include "core/branch_and_bound.hpp"
+#include "core/phase1.hpp"
 #include "core/validate.hpp"
 #include "eval/patterns.hpp"
 #include "support/rng.hpp"
@@ -71,10 +71,8 @@ TEST(Merging, PaperExampleKTwoCostsTwo) {
   // single merge costs 2 (merge the singleton (a_7) into either chain);
   // merging the two chains would cost 4.
   const auto seq = AccessSequence::from_offsets({1, 0, 2, -1, 1, 0, -2});
-  Phase1Options exact;
-  exact.mode = Phase1Options::Mode::kExact;
   const AccessGraph g(seq, kM1);
-  const Phase1Result phase1 = compute_min_register_cover(g, exact);
+  const Phase1Result phase1 = compute_min_register_cover(g);
   ASSERT_EQ(phase1.cover.size(), 3u);
 
   const auto merged = merge_to_register_limit(seq, kM1, phase1.cover, 2,

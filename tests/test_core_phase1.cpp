@@ -1,7 +1,11 @@
-#include "core/branch_and_bound.hpp"
+#include "core/phase1.hpp"
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
+#include "core/exact.hpp"
 #include "core/validate.hpp"
 #include "eval/patterns.hpp"
 #include "support/rng.hpp"
@@ -63,9 +67,7 @@ TEST(Phase1, PaperExampleCyclicNeedsThreeRegisters) {
   // (e.g. (a_1,a_3,a_5), (a_2,a_4,a_6), (a_7)) are optimal.
   const auto seq = AccessSequence::from_offsets({1, 0, 2, -1, 1, 0, -2});
   const AccessGraph g(seq, CostModel{1, WrapPolicy::kCyclic});
-  Phase1Options options;
-  options.mode = Phase1Options::Mode::kExact;
-  const Phase1Result r = compute_min_register_cover(g, options);
+  const Phase1Result r = compute_min_register_cover(g);
   EXPECT_EQ(r.k_tilde, std::size_t{3});
   EXPECT_TRUE(r.exact);
   expect_zero_cost_cover(seq, g.model(), r.cover);
@@ -80,17 +82,22 @@ TEST(Phase1, GreedyUpperBoundIsValidCover) {
   expect_zero_cost_cover(seq, g.model(), *greedy);
 }
 
-TEST(Phase1, HeuristicModeSkipsSearch) {
-  const auto seq = AccessSequence::from_offsets({1, 0, 2, -1, 1, 0, -2});
+TEST(Phase1, LongBodiesKeepTheGreedyCoverWithoutSearching) {
+  // Above kPhase1SearchAccessLimit accesses phase 1 runs no search: the
+  // greedy cover stands, unproven where it misses the matching bound.
+  support::Rng rng(17);
+  eval::PatternSpec spec;
+  spec.accesses = kPhase1SearchAccessLimit + 12;
+  spec.offset_range = 8;
+  const auto seq = eval::generate_pattern(spec, rng);
   const AccessGraph g(seq, CostModel{1, WrapPolicy::kCyclic});
-  Phase1Options options;
-  options.mode = Phase1Options::Mode::kHeuristic;
-  const Phase1Result r = compute_min_register_cover(g, options);
+  const Phase1Result r = compute_min_register_cover(g);
   EXPECT_EQ(r.search_nodes, 0u);
   ASSERT_TRUE(r.k_tilde.has_value());
+  EXPECT_EQ(r.k_tilde, r.upper_bound);
+  ASSERT_GT(*r.k_tilde, r.lower_bound);  // only a search could settle it
+  EXPECT_FALSE(r.exact);
   expect_zero_cost_cover(seq, g.model(), r.cover);
-  // The heuristic may be off optimum but never below the bound.
-  EXPECT_GE(*r.k_tilde, r.lower_bound);
 }
 
 TEST(Phase1, StrideBeyondRangeMakesZeroCostInfeasible) {
@@ -98,9 +105,7 @@ TEST(Phase1, StrideBeyondRangeMakesZeroCostInfeasible) {
   // paths cost one update, so no zero-cost cover exists.
   const auto seq = AccessSequence::from_offsets({0, 10, 20}, 3);
   const AccessGraph g(seq, CostModel{1, WrapPolicy::kCyclic});
-  Phase1Options options;
-  options.mode = Phase1Options::Mode::kExact;
-  const Phase1Result r = compute_min_register_cover(g, options);
+  const Phase1Result r = compute_min_register_cover(g);
   EXPECT_FALSE(r.k_tilde.has_value());
   EXPECT_TRUE(r.exact);
   // Fallback cover still covers everything.
@@ -112,9 +117,7 @@ TEST(Phase1, LargeStrideCanStillCloseInPairs) {
   // offsets o and o+1 closes: wrap distance = o + 2 - (o+1) = 1.
   const auto seq = AccessSequence::from_offsets({0, 1}, 2);
   const AccessGraph g(seq, CostModel{1, WrapPolicy::kCyclic});
-  Phase1Options options;
-  options.mode = Phase1Options::Mode::kExact;
-  const Phase1Result r = compute_min_register_cover(g, options);
+  const Phase1Result r = compute_min_register_cover(g);
   ASSERT_TRUE(r.k_tilde.has_value());
   EXPECT_EQ(*r.k_tilde, 1u);
   expect_zero_cost_cover(seq, g.model(), r.cover);
@@ -122,12 +125,10 @@ TEST(Phase1, LargeStrideCanStillCloseInPairs) {
 
 TEST(Phase1, WiderModifyRangeNeverNeedsMoreRegisters) {
   const auto seq = AccessSequence::from_offsets({3, -1, 4, 1, -5, 9, 2, -6});
-  Phase1Options options;
-  options.mode = Phase1Options::Mode::kExact;
   std::size_t previous = seq.size() + 1;
   for (std::int64_t m : {1, 2, 4, 8, 16}) {
     const AccessGraph g(seq, CostModel{m, WrapPolicy::kCyclic});
-    const Phase1Result r = compute_min_register_cover(g, options);
+    const Phase1Result r = compute_min_register_cover(g);
     ASSERT_TRUE(r.k_tilde.has_value()) << "M = " << m;
     EXPECT_LE(*r.k_tilde, previous) << "M = " << m;
     previous = *r.k_tilde;
@@ -164,22 +165,33 @@ std::optional<std::size_t> brute_force_k_tilde(const AccessSequence& seq,
   return best;
 }
 
-class Phase1PropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
+/// A random body of up to 7 accesses with one stride in 1..3 and
+/// M in 1..2: strides above M leave the greedy without a cover, so the
+/// search alone decides whether any zero-cost cover exists.
+struct SmallBody {
+  AccessSequence seq;
+  CostModel model;
+};
 
-TEST_P(Phase1PropertyTest, BranchAndBoundMatchesBruteForce) {
-  support::Rng rng(GetParam());
-  const std::size_t n = 2 + rng.index(6);  // up to 7 accesses
+SmallBody small_body(support::Rng& rng) {
+  const std::size_t n = 2 + rng.index(6);
   std::vector<std::int64_t> offsets(n);
   for (auto& o : offsets) {
     o = rng.uniform_int(-4, 4);
   }
-  const auto seq = AccessSequence::from_offsets(offsets);
-  const CostModel model{1 + rng.uniform_int(0, 1), WrapPolicy::kCyclic};
+  const std::int64_t stride = rng.uniform_int(1, 3);
+  return SmallBody{AccessSequence::from_offsets(offsets, stride),
+                   CostModel{1 + rng.uniform_int(0, 1), WrapPolicy::kCyclic}};
+}
+
+class Phase1PropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(Phase1PropertyTest, BranchAndBoundMatchesBruteForce) {
+  support::Rng rng(GetParam());
+  const auto [seq, model] = small_body(rng);
   const AccessGraph g(seq, model);
 
-  Phase1Options options;
-  options.mode = Phase1Options::Mode::kExact;
-  const Phase1Result r = compute_min_register_cover(g, options);
+  const Phase1Result r = compute_min_register_cover(g);
   const auto oracle = brute_force_k_tilde(seq, model);
 
   ASSERT_TRUE(r.exact);
@@ -197,6 +209,126 @@ TEST_P(Phase1PropertyTest, BranchAndBoundMatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, Phase1PropertyTest,
                          ::testing::Range<std::uint64_t>(0, 60));
 
+class ZeroCostCoverPropertyTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ZeroCostCoverPropertyTest, FindsACoverIffOneFitsInKRegisters) {
+  support::Rng rng(GetParam() * 7907 + 3);
+  const auto [seq, model] = small_body(rng);
+  const auto oracle = brute_force_k_tilde(seq, model);
+
+  for (std::size_t k = 1; k <= seq.size(); ++k) {
+    const ZeroCostCover r = zero_cost_cover(seq, model, k, kPhase1NodeBudget);
+    ASSERT_TRUE(r.proven) << "k = " << k;
+    ASSERT_EQ(r.paths.has_value(), oracle.has_value() && *oracle <= k)
+        << "k = " << k;
+    if (r.paths.has_value()) {
+      EXPECT_LE(r.paths->size(), k);
+      validate_allocation(seq, *r.paths, k);
+      EXPECT_EQ(total_cost(seq, *r.paths, model), 0) << "k = " << k;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSeeds, ZeroCostCoverPropertyTest,
+                         ::testing::Range<std::uint64_t>(0, 40));
+
+/// One body of the stride-2 set: N offsets drawn uniformly from
+/// [-r, r] by support::Rng(1000 r + 10 N + K), stride 2, M = 1,
+/// cyclic. Strides above M leave the greedy without a cover, so phase
+/// 1 rests on the exact search alone. K only seeds the draw (phase 1
+/// never reads it). The pinned node counts bound the search's work
+/// deterministically, unlike a wall-clock limit. The three bodies
+/// pinned unproven have no zero-cost cover: the same search proves that
+/// in 0.5M-15M nodes, beyond the budget.
+struct StrideTwoBody {
+  std::int64_t r;
+  std::size_t n;
+  std::size_t k;
+  std::size_t k_tilde;  ///< kNone when no zero-cost cover is known
+  bool exact;
+  std::uint64_t nodes;
+};
+
+constexpr std::size_t kNone = 0;
+
+// Without this gtest names each case by the struct's raw bytes.
+void PrintTo(const StrideTwoBody& body, std::ostream* os) {
+  *os << "r=" << body.r << " N=" << body.n << " K=" << body.k;
+}
+
+constexpr StrideTwoBody kStrideTwoBodies[] = {
+    {4, 16, 2, kNone, true, 4},
+    {4, 16, 3, kNone, true, 10},
+    {4, 16, 4, kNone, true, 133},
+    {4, 20, 2, kNone, true, 24},
+    {4, 20, 3, kNone, true, 7},
+    {4, 20, 4, kNone, true, 8},
+    {4, 24, 2, 4, true, 3326},
+    {4, 24, 3, kNone, true, 4},
+    {4, 24, 4, kNone, false, 500000},
+    {4, 28, 2, kNone, true, 15},
+    {4, 28, 3, kNone, false, 500000},
+    {4, 28, 4, kNone, true, 3},
+    {8, 16, 2, kNone, true, 9},
+    {8, 16, 3, kNone, true, 1},
+    {8, 16, 4, kNone, true, 1},
+    {8, 20, 2, kNone, true, 5},
+    {8, 20, 3, kNone, true, 3},
+    {8, 20, 4, kNone, true, 7},
+    {8, 24, 2, kNone, true, 1},
+    {8, 24, 3, kNone, true, 6},
+    {8, 24, 4, kNone, true, 9243},
+    {8, 28, 2, kNone, true, 23},
+    {8, 28, 3, kNone, false, 500000},
+    {8, 28, 4, kNone, true, 3},
+    {16, 16, 2, kNone, true, 3},
+    {16, 16, 3, kNone, true, 3},
+    {16, 16, 4, kNone, true, 1},
+    {16, 20, 2, kNone, true, 2},
+    {16, 20, 3, kNone, true, 2},
+    {16, 20, 4, kNone, true, 2},
+    {16, 24, 2, kNone, true, 1},
+    {16, 24, 3, kNone, true, 3},
+    {16, 24, 4, kNone, true, 2},
+    {16, 28, 2, kNone, true, 7},
+    {16, 28, 3, kNone, true, 1},
+    {16, 28, 4, kNone, true, 4},
+};
+
+class Phase1StrideTwoTest : public ::testing::TestWithParam<StrideTwoBody> {};
+
+TEST_P(Phase1StrideTwoTest, PinsNodesAndExactFlag) {
+  const StrideTwoBody& body = GetParam();
+  support::Rng rng(static_cast<std::uint64_t>(1000 * body.r) + 10 * body.n +
+                   body.k);
+  std::vector<std::int64_t> offsets(body.n);
+  for (auto& o : offsets) {
+    o = rng.uniform_int(-body.r, body.r);
+  }
+  const auto seq = AccessSequence::from_offsets(offsets, 2);
+  const AccessGraph g(seq, CostModel{1, WrapPolicy::kCyclic});
+
+  const Phase1Result r = compute_min_register_cover(g);
+  EXPECT_LE(r.search_nodes, kPhase1NodeBudget);
+  EXPECT_EQ(r.search_nodes, body.nodes);
+  EXPECT_EQ(r.exact, body.exact);
+  EXPECT_EQ(r.k_tilde.value_or(kNone), body.k_tilde);
+  if (r.k_tilde.has_value()) {
+    expect_zero_cost_cover(seq, g.model(), r.cover);
+  } else {
+    validate_allocation(seq, r.cover, r.cover.size());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StrideTwoSet, Phase1StrideTwoTest, ::testing::ValuesIn(kStrideTwoBodies),
+    [](const ::testing::TestParamInfo<StrideTwoBody>& info) {
+      return "r" + std::to_string(info.param.r) + "_n" +
+             std::to_string(info.param.n) + "_k" +
+             std::to_string(info.param.k);
+    });
+
 class Phase1BoundsSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(Phase1BoundsSweep, BoundsBracketKTildeOnMediumPatterns) {
@@ -207,9 +339,7 @@ TEST_P(Phase1BoundsSweep, BoundsBracketKTildeOnMediumPatterns) {
   const auto seq = eval::generate_pattern(spec, rng);
   const AccessGraph g(seq, CostModel{1, WrapPolicy::kCyclic});
 
-  Phase1Options options;
-  options.mode = Phase1Options::Mode::kExact;
-  const Phase1Result r = compute_min_register_cover(g, options);
+  const Phase1Result r = compute_min_register_cover(g);
   ASSERT_TRUE(r.k_tilde.has_value());
   EXPECT_GE(*r.k_tilde, r.lower_bound);
   ASSERT_TRUE(r.upper_bound.has_value());

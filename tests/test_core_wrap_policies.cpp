@@ -4,7 +4,7 @@
 
 #include "core/access_graph.hpp"
 #include "core/allocator.hpp"
-#include "core/branch_and_bound.hpp"
+#include "core/phase1.hpp"
 #include "eval/patterns.hpp"
 #include "support/rng.hpp"
 
@@ -64,16 +64,11 @@ TEST_P(WrapPolicyPropertyTest, AcyclicKTildeBoundsCyclicKTilde) {
   const auto seq = eval::generate_pattern(spec, rng);
   const std::int64_t m = 1 + rng.uniform_int(0, 1);
 
-  Phase1Options exact;
-  exact.mode = Phase1Options::Mode::kExact;
-
   const AccessGraph acyclic_graph(seq, CostModel{m, WrapPolicy::kAcyclic});
-  const Phase1Result acyclic =
-      compute_min_register_cover(acyclic_graph, exact);
+  const Phase1Result acyclic = compute_min_register_cover(acyclic_graph);
 
   const AccessGraph cyclic_graph(seq, CostModel{m, WrapPolicy::kCyclic});
-  const Phase1Result cyclic =
-      compute_min_register_cover(cyclic_graph, exact);
+  const Phase1Result cyclic = compute_min_register_cover(cyclic_graph);
 
   ASSERT_TRUE(acyclic.k_tilde.has_value());
   ASSERT_TRUE(cyclic.k_tilde.has_value());  // unit stride, s <= M

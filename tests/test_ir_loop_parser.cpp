@@ -129,7 +129,6 @@ for (i = 2; i <= 33; i++)
   core::ProblemConfig config;
   config.modify_range = 1;
   config.registers = 2;
-  config.phase1.mode = core::Phase1Options::Mode::kExact;
   const core::Allocation a =
       core::RegisterAllocator(config).run(lower(k));
   EXPECT_EQ(a.cost(), 2);  // same as the hand-built paper sequence

@@ -47,17 +47,14 @@ TEST(PaperExample, NarrativePathIsRealizableByOneRegister) {
 }
 
 TEST(PaperExample, KTildeIsTwoAcyclicThreeCyclic) {
-  core::Phase1Options exact;
-  exact.mode = core::Phase1Options::Mode::kExact;
-
   const core::AccessGraph acyclic(
       kSeq, core::CostModel{1, core::WrapPolicy::kAcyclic});
-  EXPECT_EQ(core::compute_min_register_cover(acyclic, exact).k_tilde,
+  EXPECT_EQ(core::compute_min_register_cover(acyclic).k_tilde,
             std::size_t{2});
 
   const core::AccessGraph cyclic(
       kSeq, core::CostModel{1, core::WrapPolicy::kCyclic});
-  EXPECT_EQ(core::compute_min_register_cover(cyclic, exact).k_tilde,
+  EXPECT_EQ(core::compute_min_register_cover(cyclic).k_tilde,
             std::size_t{3});
 }
 
@@ -69,7 +66,6 @@ TEST(PaperExample, CostLadderAcrossRegisterCounts) {
     core::ProblemConfig config;
     config.modify_range = 1;
     config.registers = k;
-    config.phase1.mode = core::Phase1Options::Mode::kExact;
     const core::Allocation a =
         core::RegisterAllocator(config).run(kSeq);
     EXPECT_EQ(a.cost(), expected_cost) << "K = " << k;
@@ -80,7 +76,6 @@ TEST(PaperExample, HeuristicBeatsNaiveUnderPressure) {
   core::ProblemConfig config;
   config.modify_range = 1;
   config.registers = 2;
-  config.phase1.mode = core::Phase1Options::Mode::kExact;
   const auto merged = core::RegisterAllocator(config).run(kSeq);
   const auto naive = baselines::naive_allocate(kSeq, config);
   EXPECT_LE(merged.cost(), naive.cost());

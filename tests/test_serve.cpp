@@ -435,6 +435,17 @@ TEST(Serve, RejectsNonPositivePhase2Jobs) {
   EXPECT_EQ(JsonValue::parse(lines[1]).find("error"), nullptr);
 }
 
+TEST(Serve, RejectsTheRemovedStealGrainField) {
+  // The parallel solver's steal grain is a constant; the field is
+  // unknown like any typo.
+  const std::vector<std::string> lines = serve_lines(
+      "{\"id\":1,\"builtin\":\"fir\",\"phase2_steal_grain\":4}\n");
+  ASSERT_EQ(lines.size(), 1u);
+  const JsonValue error = JsonValue::parse(lines[0]);
+  ASSERT_NE(error.find("error"), nullptr) << lines[0];
+  EXPECT_EQ(error.find("error")->find("stage")->as_string(), "request");
+}
+
 TEST(Serve, CacheCapacityZeroDisablesHits) {
   cli::ServeOptions options;
   options.cache_capacity = 0;

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Regenerates tests/golden/*.csv from the dspaddr CLI.
+# Regenerates tests/golden/ from the dspaddr CLI and the T1 bench.
 #
-# The goldens pin the batch CSV schema and the default-path results; the
-# EngineParity tests diff freshly computed sweeps against them byte for
-# byte. Rerun this script (and eyeball the git diff!) whenever the CSV
-# schema or the default pipeline's numbers intentionally change.
+# The CSV goldens pin the batch CSV schema and the default-path results;
+# the EngineParity tests diff freshly computed sweeps against them byte
+# for byte. t1_random_patterns.txt is the paper's T1 table, which CI's
+# smoke job compares byte for byte. Rerun this script (and eyeball the
+# git diff!) whenever the CSV schema or the default pipeline's numbers
+# intentionally change.
 #
 # usage: tools/update_goldens.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -12,11 +14,14 @@ set -euo pipefail
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$repo/build}"
 dspaddr="$build/dspaddr"
+t1_bench="$build/bench_random_patterns"
 
-if [[ ! -x "$dspaddr" ]]; then
-  echo "error: $dspaddr not built (cmake --build $build)" >&2
-  exit 1
-fi
+for binary in "$dspaddr" "$t1_bench"; do
+  if [[ ! -x "$binary" ]]; then
+    echo "error: $binary not built (cmake --build $build)" >&2
+    exit 1
+  fi
+done
 
 # The builtin grid of EngineParity.BuiltinGridMatchesGoldenCsv.
 "$dspaddr" batch \
@@ -50,6 +55,10 @@ fi
   --machine-file "$repo/workloads/machines/arm946e_wb.machine" \
   --jobs 4 \
   --out "$repo/tests/golden/batch_machines_grid.csv"
+
+# The paper's T1 table: path merging vs the naive allocator (~40 %).
+"$t1_bench" --benchmark_filter=NONE 2>/dev/null \
+  > "$repo/tests/golden/t1_random_patterns.txt"
 
 echo "regenerated:"
 git -C "$repo" --no-pager diff --stat -- tests/golden || true
