@@ -1,5 +1,6 @@
 #include "core/allocator.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <limits>
 #include <sstream>
@@ -157,12 +158,18 @@ Allocation RegisterAllocator::run(const ir::AccessSequence& seq) const {
                                       search_start)
             .count();
     // A single window is a full exact solve; otherwise the result is
-    // anytime: at least as good as the heuristic, no global proof.
+    // anytime: at least as good as the heuristic, no global proof. Its
+    // bound is then the whole-body one the exact search starts from:
+    // phase 1's matching bound K~acyc minus K, floored at zero.
+    const int registers = static_cast<int>(config_.registers);
+    const int whole_body_bound =
+        std::max(0, static_cast<int>(phase1.lower_bound) - registers);
     stats.phase2_exact = tiled.proven;
     stats.phase2_proven = tiled.proven;
     stats.phase2_nodes = tiled.nodes;
-    stats.phase2_lower_bound = tiled.proven ? tiled.cost : 0;
-    stats.phase2_gap = tiled.proven ? 0 : tiled.window_gap_total;
+    stats.phase2_lower_bound = tiled.proven ? tiled.cost : whole_body_bound;
+    stats.phase2_gap =
+        std::min(tiled.cost, heuristic_cost) - stats.phase2_lower_bound;
     stats.phase2_table_cap_hits = tiled.table_cap_hits;
     stats.phase2_subtree_tasks = tiled.subtree_tasks;
     stats.phase2_steals = tiled.steals;

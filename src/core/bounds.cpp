@@ -62,6 +62,16 @@ std::optional<std::vector<Path>> split_for_zero_wrap(
   return chunks;
 }
 
+/// Index of the lowest set bit of a nonzero word.
+std::size_t lowest_bit(std::uint64_t bits) {
+  return static_cast<std::size_t>(__builtin_ctzll(bits));
+}
+
+/// The mask of `index` within its 64-bit word of a bitset row.
+std::uint64_t bit(std::size_t index) {
+  return std::uint64_t{1} << (index % 64);
+}
+
 }  // namespace
 
 std::size_t lower_bound_registers(const AccessGraph& graph) {
@@ -128,18 +138,19 @@ SuffixBounds::SuffixBounds(const ir::AccessSequence& seq,
   constexpr int kNoFinal = std::numeric_limits<int>::max();
   if (!dense_) return;
 
-  std::vector<int> cheapest_incoming(n_, 0);
-  for (std::size_t j = 1; j < n_; ++j) {
-    int best = std::numeric_limits<int>::max();
-    for (std::size_t p = 0; p < j && best > 0; ++p) {
-      best = std::min(best, intra_transition_cost(seq, p, j, model));
+  words_ = (n_ + 63) / 64;
+  successors_.assign(n_ * words_, 0);
+  predecessors_.assign(n_ * words_, 0);
+  for (std::size_t p = 0; p < n_; ++p) {
+    for (std::size_t j = p + 1; j < n_; ++j) {
+      if (intra_transition_cost(seq, p, j, model) != 0) continue;
+      successors_[p * words_ + j / 64] |= bit(j);
+      predecessors_[j * words_ + p / 64] |= bit(p);
     }
-    cheapest_incoming[j] = best;
   }
-  suffix_incoming_.assign(n_ + 1, 0);
-  for (std::size_t t = n_; t-- > 0;) {
-    suffix_incoming_[t] = suffix_incoming_[t + 1] + cheapest_incoming[t];
-  }
+  ResidualMatching root(*this);
+  root.rebuild(0, {});
+  root_matching_ = root.size();
 
   wrap_direct_.assign(n_ * n_, 0);
   for (std::size_t l = 0; l < n_; ++l) {
@@ -163,12 +174,6 @@ SuffixBounds::SuffixBounds(const ir::AccessSequence& seq,
       }
     }
   }
-}
-
-int SuffixBounds::cheapest_incoming_suffix(std::size_t from) const {
-  check_arg(from <= n_, "SuffixBounds: suffix start out of range");
-  if (!dense_) return 0;
-  return suffix_incoming_[from];
 }
 
 int SuffixBounds::wrap_floor(std::size_t first, std::size_t last,
@@ -195,11 +200,156 @@ std::size_t SuffixBounds::wrap_zero_horizon(std::size_t first) const {
 
 int SuffixBounds::root_lower_bound(std::size_t registers) const {
   if (!dense_) return 0;
-  // Each of the at-most-`registers` fresh openings saves at most one
-  // access its cheapest incoming transition (costs are 0/1).
-  const int open_savings =
-      static_cast<int>(std::min<std::size_t>(registers, n_));
-  return std::max(0, suffix_incoming_[0] - open_savings);
+  // Every access is entered by a fresh register, a free matched edge or
+  // a paid transition.
+  const std::size_t free_entries = root_matching_ + registers;
+  return free_entries >= n_ ? 0 : static_cast<int>(n_ - free_entries);
+}
+
+ResidualMatching::ResidualMatching(const SuffixBounds& bounds)
+    : bounds_(bounds), n_(bounds.size()), words_(bounds.row_words()) {
+  check_arg(bounds.dense(), "ResidualMatching: needs dense bounds");
+  partner_.assign(2 * n_, kFree);
+  left_active_.assign(words_, 0);
+  seen_left_.assign(words_, 0);
+  seen_right_.assign(words_, 0);
+}
+
+void ResidualMatching::rebuild(std::size_t next,
+                               const std::vector<std::size_t>& lasts) {
+  check_arg(next <= n_, "ResidualMatching: access index out of range");
+  next_ = next;
+  size_ = 0;
+  std::fill(partner_.begin(), partner_.end(), kFree);
+  std::fill(left_active_.begin(), left_active_.end(), 0);
+  for (std::size_t v = next; v < n_; ++v) {
+    left_active_[v / 64] |= bit(v);
+  }
+  for (const std::size_t last : lasts) {
+    check_arg(last < next, "ResidualMatching: last access not assigned");
+    left_active_[last / 64] |= bit(last);
+  }
+  // Kuhn's algorithm: one augmenting search per left vertex yields a
+  // maximum matching.
+  for (std::size_t w = 0; w < words_; ++w) {
+    for (std::uint64_t bits = left_active_[w]; bits != 0; bits &= bits - 1) {
+      if (augment_from_left(w * 64 + lowest_bit(bits))) ++size_;
+    }
+  }
+  trail_.clear();
+  steps_.clear();
+}
+
+void ResidualMatching::assign(std::size_t previous_last) {
+  check_invariant(next_ < n_, "ResidualMatching: every access assigned");
+  steps_.push_back(Step{trail_.size(), previous_last, size_});
+  const std::size_t access = next_++;
+  // Delete right vertex `access`. A partner that is about to leave the
+  // left side needs no repair: the matching without that edge is
+  // already maximum once both of its ends are gone.
+  const std::uint32_t left = partner_[n_ + access];
+  if (left != kFree) {
+    set_partner(left, kFree);
+    set_partner(n_ + access, kFree);
+    --size_;
+    if (left != previous_last && augment_from_left(left)) ++size_;
+  }
+  if (previous_last == kNoAccess) return;
+  // Delete left vertex `previous_last`: `access` replaces it as the
+  // register's last access.
+  left_active_[previous_last / 64] &= ~bit(previous_last);
+  const std::uint32_t right = partner_[previous_last];
+  if (right != kFree) {
+    set_partner(previous_last, kFree);
+    set_partner(n_ + right, kFree);
+    --size_;
+    if (augment_from_right(right)) ++size_;
+  }
+}
+
+void ResidualMatching::undo() {
+  check_invariant(!steps_.empty(), "ResidualMatching: nothing to undo");
+  const Step step = steps_.back();
+  steps_.pop_back();
+  while (trail_.size() > step.trail_begin) {
+    partner_[trail_.back().slot] = trail_.back().partner;
+    trail_.pop_back();
+  }
+  if (step.previous_last != kNoAccess) {
+    left_active_[step.previous_last / 64] |= bit(step.previous_last);
+  }
+  size_ = step.size;
+  --next_;
+}
+
+void ResidualMatching::set_partner(std::size_t slot, std::uint32_t partner) {
+  trail_.push_back(Write{static_cast<std::uint32_t>(slot), partner_[slot]});
+  partner_[slot] = partner;
+}
+
+void ResidualMatching::match(std::size_t left, std::size_t right) {
+  set_partner(left, static_cast<std::uint32_t>(right));
+  set_partner(n_ + right, static_cast<std::uint32_t>(left));
+}
+
+bool ResidualMatching::augment_from_left(std::size_t left) {
+  // Right vertices below next_ are assigned: mark them seen up front.
+  for (std::size_t w = 0; w < words_; ++w) {
+    const std::size_t base = w * 64;
+    if (next_ >= base + 64) {
+      seen_right_[w] = ~std::uint64_t{0};
+    } else if (next_ > base) {
+      seen_right_[w] = bit(next_) - 1;
+    } else {
+      seen_right_[w] = 0;
+    }
+  }
+  return search_left(left);
+}
+
+bool ResidualMatching::augment_from_right(std::size_t right) {
+  for (std::size_t w = 0; w < words_; ++w) {
+    seen_left_[w] = ~left_active_[w];
+  }
+  return search_right(right);
+}
+
+bool ResidualMatching::search_left(std::size_t left) {
+  const std::uint64_t* row = bounds_.free_successors(left);
+  for (std::size_t w = 0; w < words_; ++w) {
+    std::uint64_t bits = row[w] & ~seen_right_[w];
+    while (bits != 0) {
+      const std::size_t right = w * 64 + lowest_bit(bits);
+      bits &= bits - 1;
+      if ((seen_right_[w] & bit(right)) != 0) continue;
+      seen_right_[w] |= bit(right);
+      const std::uint32_t owner = partner_[n_ + right];
+      if (owner == kFree || search_left(owner)) {
+        match(left, right);
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+bool ResidualMatching::search_right(std::size_t right) {
+  const std::uint64_t* row = bounds_.free_predecessors(right);
+  for (std::size_t w = 0; w < words_; ++w) {
+    std::uint64_t bits = row[w] & ~seen_left_[w];
+    while (bits != 0) {
+      const std::size_t left = w * 64 + lowest_bit(bits);
+      bits &= bits - 1;
+      if ((seen_left_[w] & bit(left)) != 0) continue;
+      seen_left_[w] |= bit(left);
+      const std::uint32_t owner = partner_[left];
+      if (owner == kFree || search_right(owner)) {
+        match(left, right);
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 }  // namespace dspaddr::core

@@ -13,12 +13,16 @@
 //   valid zero-cost cover (hence an upper bound on K~) whenever one
 //   exists.
 // * SuffixBounds: O(N^2) tables underestimating the cost still to be
-//   paid by a partial phase-2 assignment — the cheapest-transition
-//   relaxation per unassigned access and a wrap-cost floor per open
-//   register.
+//   paid by a partial phase-2 assignment — bitset rows of the free intra
+//   edges and a wrap-cost floor per open register.
+// * ResidualMatching: a maximum matching of the free intra edges still
+//   usable by a partial assignment, repaired incrementally as the
+//   search assigns and undoes accesses — the same Araujo et al. bound,
+//   applied at every search node instead of only at the root.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -48,10 +52,12 @@ std::optional<std::vector<Path>> greedy_zero_cost_cover(
 /// Two relaxations, both sound because they drop the same-register
 /// coupling between decisions:
 ///  * every unassigned access must be *entered* either by opening a
-///    fresh register (free) or by an intra transition from some earlier
-///    access — charging each access its cheapest incoming transition,
-///    minus one free entry per still-unused register, never
-///    overestimates;
+///    fresh register (free) or by an intra transition from an open
+///    register's last access or from another unassigned access. Each
+///    access has at most one successor in its register, so the free
+///    entries form a matching on the free intra edges: at least
+///    |U| - unused - M entries pay, with M a maximum such matching
+///    (ResidualMatching, built on the bitset rows here);
 ///  * every open register eventually wraps from its final access back to
 ///    its first — the cheapest wrap over "stop now" and every possible
 ///    future final access never overestimates.
@@ -71,9 +77,25 @@ class SuffixBounds {
   /// bounds are in effect.
   bool dense() const { return dense_; }
 
-  /// Sum over unassigned accesses j in [from, N) of the cheapest
-  /// incoming intra transition cost min_{p < j} cost(p -> j).
-  int cheapest_incoming_suffix(std::size_t from) const;
+  /// Number of accesses.
+  std::size_t size() const { return n_; }
+
+  /// 64-bit words per bitset row.
+  std::size_t row_words() const { return words_; }
+
+  /// Bitset row of the free intra successors of access `from`: bit j is
+  /// set iff j > from and the transition from -> j costs nothing. Dense
+  /// bounds only.
+  const std::uint64_t* free_successors(std::size_t from) const {
+    return successors_.data() + from * words_;
+  }
+
+  /// Bitset row of the free intra predecessors of access `to`: bit p is
+  /// set iff p < to and the transition p -> to costs nothing. Dense
+  /// bounds only.
+  const std::uint64_t* free_predecessors(std::size_t to) const {
+    return predecessors_.data() + to * words_;
+  }
 
   /// Lower bound on the eventual wrap cost of an open register whose
   /// path currently runs first .. last, when any subset of [from, N)
@@ -94,14 +116,21 @@ class SuffixBounds {
   std::size_t wrap_zero_horizon(std::size_t first) const;
 
   /// Bound on the whole problem (the empty assignment) with `registers`
-  /// registers available; a proven optimum can never be below this.
+  /// registers available: max(0, K~acyc - registers), where K~acyc is
+  /// N minus the maximum matching of the free intra edges (the matching
+  /// bound phase 1 computes). A proven optimum can never be below this.
   int root_lower_bound(std::size_t registers) const;
 
  private:
   std::size_t n_ = 0;
   bool dense_ = true;
-  /// suffix_incoming_[t] = sum_{j >= t} min_{p < j} cost(p -> j).
-  std::vector<int> suffix_incoming_;
+  std::size_t words_ = 0;
+  /// Row-major bitset rows of row_words() words each (see
+  /// free_successors / free_predecessors).
+  std::vector<std::uint64_t> successors_;
+  std::vector<std::uint64_t> predecessors_;
+  /// Maximum matching size of the free intra edges over all accesses.
+  std::size_t root_matching_ = 0;
   /// wrap_direct_[l * n + f] = wrap cost of f following l.
   std::vector<int> wrap_direct_;
   /// wrap_suffix_min_[t * n + f] = min_{j >= t} wrap_direct_[j][f]
@@ -110,6 +139,91 @@ class SuffixBounds {
   /// wrap_zero_horizon_[f] = 1 + max{j : wrap_direct_[j][f] == 0}, or
   /// 0 when no zero-cost final access exists.
   std::vector<std::size_t> wrap_zero_horizon_;
+};
+
+/// Maximum matching of the free intra edges a partial assignment can
+/// still use: left vertices are the open registers' last accesses plus
+/// the unassigned accesses U, right vertices are U, and an edge p -> j
+/// is a free intra transition (SuffixBounds' bitset rows). The search
+/// assigns accesses in order, so U is always a suffix [next, N).
+///
+/// Assigning `next` deletes at most two vertices: right vertex `next`,
+/// then the register's previous last access on the left (`next` itself
+/// stays on the left as the register's new last). A deletion lowers the
+/// maximum by at most one, and any augmenting path must start at the
+/// vertex that lost its partner, so one augmenting search per deletion
+/// keeps the matching maximum. Every write goes on an undo trail, so
+/// undo() restores the previous matching exactly. Only the size is
+/// read, and the maximum size is unique, so the bound does not depend
+/// on which maximum matching the repairs happen to reach.
+class ResidualMatching {
+ public:
+  /// Marks "no previous last access": the move opened a register.
+  static constexpr std::size_t kNoAccess = static_cast<std::size_t>(-1);
+
+  /// `bounds` must be dense and outlive the matching.
+  explicit ResidualMatching(const SuffixBounds& bounds);
+
+  /// Builds the matching from scratch for the state where accesses
+  /// [0, next) are assigned and `lasts` are the open registers' last
+  /// accesses, and clears the undo history.
+  void rebuild(std::size_t next, const std::vector<std::size_t>& lasts);
+
+  /// Assigns access next() to a register whose last access was
+  /// `previous_last` (kNoAccess when the move opens a register).
+  void assign(std::size_t previous_last);
+
+  /// Reverts the latest assign() not yet undone.
+  void undo();
+
+  /// The first unassigned access.
+  std::size_t next() const { return next_; }
+
+  /// Size of the maximum matching.
+  std::size_t size() const { return size_; }
+
+ private:
+  static constexpr std::uint32_t kFree = 0xffffffffu;
+
+  /// One assign(): where its trail writes start, and what it changed.
+  struct Step {
+    std::size_t trail_begin;
+    std::size_t previous_last;
+    std::size_t size;
+  };
+
+  /// One overwritten partner slot: left vertices are [0, N), right
+  /// vertices [N, 2N).
+  struct Write {
+    std::uint32_t slot;
+    std::uint32_t partner;
+  };
+
+  void set_partner(std::size_t slot, std::uint32_t partner);
+  void match(std::size_t left, std::size_t right);
+  /// Augmenting search from an unmatched left vertex for an unmatched
+  /// right vertex in U; true (and the matching grown by one) on success.
+  bool augment_from_left(std::size_t left);
+  /// Augmenting search from an unmatched right vertex for an unmatched
+  /// left vertex.
+  bool augment_from_right(std::size_t right);
+  bool search_left(std::size_t left);
+  bool search_right(std::size_t right);
+
+  const SuffixBounds& bounds_;
+  std::size_t n_;
+  std::size_t words_;
+  std::size_t next_ = 0;
+  std::size_t size_ = 0;
+  /// partner_[v] for left v in [0, N) and right v - N in [N, 2N).
+  std::vector<std::uint32_t> partner_;
+  std::vector<std::uint64_t> left_active_;
+  /// Per-search visited sets, seeded with the inactive vertices so one
+  /// mask both excludes them and marks the vertices already tried.
+  std::vector<std::uint64_t> seen_left_;
+  std::vector<std::uint64_t> seen_right_;
+  std::vector<Write> trail_;
+  std::vector<Step> steps_;
 };
 
 }  // namespace dspaddr::core

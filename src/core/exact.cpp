@@ -228,7 +228,9 @@ class Searcher {
         table_cap_(table_cap),
         use_bound_terms_(ctx.bounds.dense()),
         states_(ctx.registers),
-        assignment_(ctx.seq.size(), kUnassigned) {}
+        assignment_(ctx.seq.size(), kUnassigned) {
+    if (use_bound_terms_) matching_.emplace(ctx.bounds);
+  }
 
   /// Explores every completion of `prefix` (accesses [0, prefix.size())
   /// pinned), sharing the incumbent, node budget and abort state.
@@ -325,6 +327,13 @@ class Searcher {
       }
       assignment_[i] = prefix[i];
     }
+    if (matching_) {
+      std::vector<std::size_t> lasts;
+      for (std::size_t r = 0; r < used_count_; ++r) {
+        lasts.push_back(states_[r].last);
+      }
+      matching_->rebuild(prefix.size(), lasts);
+    }
     return cost;
   }
 
@@ -347,13 +356,18 @@ class Searcher {
   }
 
   /// Admissible lower bound on partial cost + everything still to pay,
-  /// evaluated from the per-register caches alone.
+  /// evaluated from the residual matching and the per-register caches
+  /// alone: an unassigned access that neither opens an unused register
+  /// nor follows a matched free edge pays one.
   int lower_bound(std::size_t next, int partial) const {
     if (!use_bound_terms_) return partial;
-    const int unused = static_cast<int>(ctx_.registers - used_count_);
-    int bound =
-        partial +
-        std::max(0, ctx_.bounds.cheapest_incoming_suffix(next) - unused);
+    const std::size_t unassigned = n_ - next;
+    const std::size_t free_entries =
+        matching_->size() + (ctx_.registers - used_count_);
+    int bound = partial;
+    if (unassigned > free_entries) {
+      bound += static_cast<int>(unassigned - free_entries);
+    }
     for (std::size_t r = 0; r < used_count_; ++r) {
       const RegisterState& s = states_[r];
       if (s.wrap_direct != 0 && next >= s.wrap_horizon) ++bound;
@@ -559,6 +573,10 @@ class Searcher {
 
   void apply_move(Frame& frame, const Move& move) {
     RegisterState& state = states_[move.reg];
+    if (matching_) {
+      matching_->assign(move.fresh ? ResidualMatching::kNoAccess
+                                   : state.last);
+    }
     assignment_[frame.next] = move.reg;
     frame.applied_reg = move.reg;
     frame.applied_fresh = move.fresh;
@@ -579,6 +597,7 @@ class Searcher {
 
   void undo_move(Frame& frame) {
     RegisterState& state = states_[frame.applied_reg];
+    if (matching_) matching_->undo();
     assignment_[frame.next] = kUnassigned;
     if (frame.applied_fresh) {
       state = RegisterState{};
@@ -623,6 +642,9 @@ class Searcher {
 
   std::vector<RegisterState> states_;
   std::size_t used_count_ = 0;
+  /// The intra term of lower_bound, kept current by apply_move /
+  /// undo_move and rebuilt by replay_prefix (dense bounds only).
+  std::optional<ResidualMatching> matching_;
   std::vector<std::size_t> assignment_;
   std::vector<Frame> frames_;
   std::vector<Move> arena_;

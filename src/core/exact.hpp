@@ -23,10 +23,17 @@
 // mechanism behind both work-stealing donation (below) and the tiled
 // window solver (core/tiled.hpp). Four prunings keep the exponential
 // tree tractable:
-//  * an admissible lower bound on the unassigned suffix
-//    (core::SuffixBounds), maintained incrementally: each open register
-//    caches its wrap cost and zero-wrap horizon, updated O(1) on
-//    assign/undo, so bound evaluation never re-reads the O(N^2) tables;
+//  * an admissible lower bound on the unassigned suffix, maintained
+//    incrementally (core/bounds.hpp). Its intra term is |U| - unused -
+//    M: M is a maximum matching of the free intra edges from the open
+//    registers' last accesses and the unassigned set U into U
+//    (core::ResidualMatching), repaired by at most two augmenting
+//    searches per assign and restored from an undo trail on backtrack.
+//    It dominates charging each access its cheapest incoming edge on
+//    its own, since an access with no free predecessor is never
+//    matched, and at the root it is phase 1's matching bound
+//    max(0, K~acyc - K). Its wrap term caches each open register's wrap
+//    cost and zero-wrap horizon, updated O(1) on assign/undo;
 //  * register symmetry breaking: only the lowest-numbered unused
 //    register is ever opened, and extending a register whose (first,
 //    last) accesses are value-identical (same offset and stride) to an

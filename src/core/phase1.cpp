@@ -1,10 +1,37 @@
 #include "core/phase1.hpp"
 
+#include <cstdint>
 #include <utility>
 
 #include "core/exact.hpp"
+#include "graph/matching.hpp"
 
 namespace dspaddr::core {
+
+namespace {
+
+/// A zero-cost allocation closes every register into a cycle of free
+/// edges: intra edges i -> j (i < j) along the path, then the wrap edge
+/// from its last access back to its first (a self-loop for a singleton).
+/// Those successors form a permutation, so a zero-cost cover with any
+/// number of registers needs a perfect matching of the free intra plus
+/// free wrap (last >= first) edges.
+bool admits_zero_cost_cycle_cover(const AccessGraph& graph) {
+  const std::size_t n = graph.node_count();
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges =
+      graph.intra().edges();
+  for (std::size_t last = 0; last < n; ++last) {
+    for (std::size_t first = 0; first <= last; ++first) {
+      if (graph.wrap_edge(last, first)) {
+        edges.emplace_back(static_cast<std::uint32_t>(last),
+                           static_cast<std::uint32_t>(first));
+      }
+    }
+  }
+  return graph::hopcroft_karp(n, n, edges).size == n;
+}
+
+}  // namespace
 
 Phase1Result compute_min_register_cover(const AccessGraph& graph) {
   Phase1Result result;
@@ -34,6 +61,9 @@ Phase1Result compute_min_register_cover(const AccessGraph& graph) {
   }
 
   if (result.k_tilde == result.lower_bound) {
+    result.exact = true;
+  } else if (!greedy.has_value() && !admits_zero_cost_cycle_cover(graph)) {
+    // No zero-cost cover at any register count: decided without search.
     result.exact = true;
   } else if (n <= kPhase1SearchAccessLimit) {
     // Ask for a cover one register smaller than the best known (or, with

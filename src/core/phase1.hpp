@@ -8,8 +8,12 @@
 // answers "is there a zero-cost cover with at most k registers?" for
 // k one below the best cover known, until no cover exists or k drops
 // below the matching bound. When the greedy finds no cover (some
-// |stride| > M), the first question asks at N registers. All questions
-// of one run share one node budget.
+// |stride| > M), phase 1 first asks whether the free intra and wrap
+// edges admit a cycle cover (a perfect matching): a zero-cost cover
+// closes every register into such a cycle, so without one no zero-cost
+// cover exists at any register count and the answer is exact without a
+// search, at any N. Otherwise the first question asks at N registers.
+// All questions of one run share one node budget.
 #pragma once
 
 #include <cstdint>

@@ -176,7 +176,6 @@ TiledResult tiled_min_cost_allocation(const ir::AccessSequence& seq,
     result.splits += window_result.splits;
     result.worker_busy_us += window_result.worker_busy_us;
     if (window_result.proven) ++result.windows_proven;
-    result.window_gap_total += window_result.gap();
     result.external_abort |= window_result.external_abort;
 
     // Local register r owns result.paths[r]: the solver groups accesses

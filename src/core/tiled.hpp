@@ -17,8 +17,10 @@
 // The result is exact per window and heuristic across boundaries:
 // globally `proven` only when a single window covered the whole
 // sequence (then the real cyclic model is used and the solve is a full
-// proof). Per-window proofs and gaps are reported so the caller can see
-// how much of the ladder was climbed.
+// proof). Per-window proofs are reported so the caller can see how much
+// of the ladder was climbed; a per-window gap says nothing about the
+// whole body, so the allocator states a multi-window answer's gap
+// against the whole-body matching bound instead.
 #pragma once
 
 #include <cstdint>
@@ -92,8 +94,6 @@ struct TiledResult {
   /// Windows whose exact solve completed (proved optimal *within the
   /// window*, given its pinned boundary).
   std::size_t windows_proven = 0;
-  /// Sum of the per-window anytime gaps (0 when every window proved).
-  int window_gap_total = 0;
   /// True when TiledOptions::abort cancelled at least one window's
   /// solve (ExactResult::external_abort).
   bool external_abort = false;

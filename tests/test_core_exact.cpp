@@ -276,22 +276,26 @@ TEST(ExactAllocator, RejectsMalformedPinnedPrefix) {
                dspaddr::InvalidArgument);
 }
 
-/// Oracle: full enumeration of register assignments (tiny N, small K).
+/// Oracle: full enumeration of register assignments (tiny N, small K)
+/// that agree with `pinned` on its prefix.
 int brute_force_min_cost(const AccessSequence& seq, const CostModel& model,
-                         std::size_t k) {
+                         std::size_t k,
+                         const std::vector<std::size_t>& pinned = {}) {
   const std::size_t n = seq.size();
   std::vector<std::size_t> assignment(n, 0);
   int best = std::numeric_limits<int>::max();
   while (true) {
-    std::vector<std::vector<std::size_t>> groups(k);
-    for (std::size_t i = 0; i < n; ++i) {
-      groups[assignment[i]].push_back(i);
+    if (std::equal(pinned.begin(), pinned.end(), assignment.begin())) {
+      std::vector<std::vector<std::size_t>> groups(k);
+      for (std::size_t i = 0; i < n; ++i) {
+        groups[assignment[i]].push_back(i);
+      }
+      std::vector<Path> paths;
+      for (auto& g : groups) {
+        if (!g.empty()) paths.emplace_back(std::move(g));
+      }
+      best = std::min(best, total_cost(seq, paths, model));
     }
-    std::vector<Path> paths;
-    for (auto& g : groups) {
-      if (!g.empty()) paths.emplace_back(std::move(g));
-    }
-    best = std::min(best, total_cost(seq, paths, model));
     std::size_t digit = 0;
     while (digit < n) {
       if (++assignment[digit] < k) break;
@@ -306,22 +310,51 @@ int brute_force_min_cost(const AccessSequence& seq, const CostModel& model,
 class ExactPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ExactPropertyTest, MatchesBruteForceEnumeration) {
+  // Every input the bounds read: symmetric windows spanning the builtin
+  // machine catalog (M in 1..4), asymmetric windows with extra free
+  // widths, both wrap policies, and a random pinned prefix (the state a
+  // tiled window or a stolen subtree starts from, where the search
+  // rebuilds its residual matching). Ten draws per seed: a bound that
+  // over-prunes shows only where the greedy incumbent is not optimal.
   support::Rng rng(GetParam() * 911 + 3);
-  const std::size_t n = 2 + rng.index(6);  // up to 7
-  const std::size_t k = 1 + rng.index(3);  // up to 3
-  std::vector<std::int64_t> offsets(n);
-  for (auto& o : offsets) {
-    o = rng.uniform_int(-4, 4);
-  }
-  const auto seq = AccessSequence::from_offsets(offsets);
-  // Modify ranges spanning the builtin machine catalog (M in 1..4).
-  const CostModel model{1 + rng.uniform_int(0, 3), WrapPolicy::kCyclic};
+  for (int draw = 0; draw < 10; ++draw) {
+    const std::size_t n = 2 + rng.index(6);  // up to 7
+    const std::size_t k = 1 + rng.index(3);  // up to 3
+    std::vector<std::int64_t> offsets(n);
+    for (auto& o : offsets) {
+      o = rng.uniform_int(-4, 4);
+    }
+    const auto seq = AccessSequence::from_offsets(offsets);
+    const WrapPolicy wrap =
+        rng.bernoulli(0.25) ? WrapPolicy::kAcyclic : WrapPolicy::kCyclic;
+    CostModel model{1 + rng.uniform_int(0, 3), wrap};
+    if (rng.bernoulli(0.5)) {
+      std::vector<std::int64_t> widths;
+      for (std::int64_t w = rng.uniform_int(0, 2); w > 0; --w) {
+        widths.push_back(rng.uniform_int(-6, 6));
+      }
+      model = CostModel(-rng.uniform_int(0, 2), rng.uniform_int(0, 2),
+                        std::move(widths), wrap);
+    }
+    ExactOptions options;
+    if (rng.bernoulli(0.5)) {
+      // Fresh rule: register r first appears after registers 0..r-1.
+      std::size_t opened = 0;
+      for (std::size_t i = rng.index(n + 1); i > 0; --i) {
+        const std::size_t reg = rng.index(std::min(opened + 1, k));
+        if (reg == opened) ++opened;
+        options.pinned_prefix.push_back(reg);
+      }
+    }
 
-  const ExactResult r = exact_min_cost_allocation(seq, model, k);
-  ASSERT_TRUE(r.proven);
-  EXPECT_EQ(r.cost, brute_force_min_cost(seq, model, k));
-  EXPECT_EQ(total_cost(seq, r.paths, model), r.cost);
-  validate_allocation(seq, r.paths, k);
+    const ExactResult r = exact_min_cost_allocation(seq, model, k, options);
+    ASSERT_TRUE(r.proven) << "draw " << draw;
+    EXPECT_EQ(r.cost,
+              brute_force_min_cost(seq, model, k, options.pinned_prefix))
+        << "draw " << draw;
+    EXPECT_EQ(total_cost(seq, r.paths, model), r.cost) << "draw " << draw;
+    validate_allocation(seq, r.paths, k);
+  }
 }
 
 TEST_P(ExactPropertyTest, HeuristicNeverBeatsExact) {

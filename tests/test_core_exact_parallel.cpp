@@ -145,14 +145,17 @@ TEST(ParallelExact, DeepUnbalancedTreesActuallyGetStolen) {
   // Donation is demand-driven (only when a worker is hungry), so a
   // single run can in principle finish before any thief wakes up; over
   // several deep skewed instances at jobs=8 the pool must both split
-  // and steal at least once in aggregate.
+  // and steal at least once in aggregate. The instances must stay deep
+  // under the residual matching bound: at N = 36, K = 4 the three trees
+  // take about 100k nodes sequentially (N = 30, K = 3 shrank to under
+  // 2k in total, too few for a worker to go hungry).
   std::uint64_t total_splits = 0;
   std::uint64_t total_steals = 0;
   for (const std::uint64_t seed : {31u, 32u, 33u}) {
-    const AccessSequence seq = skewed_pattern(30, 0xDEE9 ^ seed);
+    const AccessSequence seq = skewed_pattern(36, 0xDEE9 ^ seed);
     ExactOptions options;
     options.jobs = 8;
-    const ExactResult r = exact_min_cost_allocation(seq, kM1, 3, options);
+    const ExactResult r = exact_min_cost_allocation(seq, kM1, 4, options);
     ASSERT_TRUE(r.proven) << "seed " << seed;
     total_splits += r.splits;
     total_steals += r.steals;

@@ -3,10 +3,11 @@
 #
 # The CSV goldens pin the batch CSV schema and the default-path results;
 # the EngineParity tests diff freshly computed sweeps against them byte
-# for byte. t1_random_patterns.txt is the paper's T1 table, which CI's
-# smoke job compares byte for byte. Rerun this script (and eyeball the
-# git diff!) whenever the CSV schema or the default pipeline's numbers
-# intentionally change.
+# for byte. t1_random_patterns.txt is the paper's T1 table and
+# solve_hard.jsonl the serve answers to the exact instances of
+# workloads/solve_hard.jsonl; CI's smoke job compares both byte for
+# byte. Rerun this script (and eyeball the git diff!) whenever the CSV
+# schema or the default pipeline's numbers intentionally change.
 #
 # usage: tools/update_goldens.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -59,6 +60,13 @@ done
 # The paper's T1 table: path merging vs the naive allocator (~40 %).
 "$t1_bench" --benchmark_filter=NONE 2>/dev/null \
   > "$repo/tests/golden/t1_random_patterns.txt"
+
+# The exact search on the benchmark's solve-hard set (the requests of
+# perfbench/workloads.py's hard_set(1)): costs, proofs, bounds and node
+# counts, with no wall clock.
+"$dspaddr" serve --jobs 1 --cache-capacity 0 \
+  < "$repo/workloads/solve_hard.jsonl" \
+  > "$repo/tests/golden/solve_hard.jsonl"
 
 echo "regenerated:"
 git -C "$repo" --no-pager diff --stat -- tests/golden || true
