@@ -234,13 +234,7 @@ std::string pipeline_response(const JsonValue& request_json,
                               engine::Engine& engine,
                               engine::Portfolio& portfolio,
                               std::int64_t max_iterations) {
-  JsonValue response = JsonValue::object();
   try {
-    // Echo the id before any validation so clients can correlate even
-    // a rejected request with its response.
-    if (const JsonValue* id = request_json.find("id")) {
-      response.set("id", *id);
-    }
     check_known_keys(request_json);
     const engine::Request request =
         request_from_json(request_json, max_iterations);
@@ -258,16 +252,19 @@ std::string pipeline_response(const JsonValue& request_json,
     } else {
       result = engine.run(request);
     }
-    // Inline the result members so the response carries exactly the
-    // --format=json schema (plus the "id" echo above).
-    const JsonValue result_json = engine::result_to_json(result);
-    for (const JsonValue::Member& member : result_json.members()) {
-      response.set(member.first, member.second);
+    // The response is exactly the --format=json object, with the "id"
+    // echo (when the request has one) spliced in as its first member.
+    // result_to_json never has an "id" member and always has others.
+    std::string response = engine::result_to_json_line(result);
+    if (const JsonValue* id = request_json.find("id")) {
+      response.replace(0, 1, "{\"id\":" + id->dump() + ",");
     }
+    return response;
   } catch (const std::exception& e) {
+    // Echo the id even on a rejected request, so clients can still
+    // correlate it with its response.
     return error_response(request_json.find("id"), e.what()).dump();
   }
-  return response.dump();
 }
 
 /// Handles a stats / clear_cache control line (reader-side, after the

@@ -135,7 +135,6 @@ std::optional<std::vector<Path>> greedy_zero_cost_cover(
 SuffixBounds::SuffixBounds(const ir::AccessSequence& seq,
                            const CostModel& model)
     : n_(seq.size()), dense_(seq.size() <= kDenseLimit) {
-  constexpr int kNoFinal = std::numeric_limits<int>::max();
   if (!dense_) return;
 
   words_ = (n_ + 63) / 64;
@@ -158,13 +157,6 @@ SuffixBounds::SuffixBounds(const ir::AccessSequence& seq,
       wrap_direct_[l * n_ + f] = wrap_transition_cost(seq, l, f, model);
     }
   }
-  wrap_suffix_min_.assign((n_ + 1) * n_, kNoFinal);
-  for (std::size_t t = n_; t-- > 0;) {
-    for (std::size_t f = 0; f < n_; ++f) {
-      wrap_suffix_min_[t * n_ + f] = std::min(
-          wrap_suffix_min_[(t + 1) * n_ + f], wrap_direct_[t * n_ + f]);
-    }
-  }
   wrap_zero_horizon_.assign(n_, 0);
   for (std::size_t f = 0; f < n_; ++f) {
     for (std::size_t j = n_; j-- > 0;) {
@@ -174,15 +166,6 @@ SuffixBounds::SuffixBounds(const ir::AccessSequence& seq,
       }
     }
   }
-}
-
-int SuffixBounds::wrap_floor(std::size_t first, std::size_t last,
-                             std::size_t from) const {
-  check_arg(first < n_ && last < n_ && from <= n_,
-            "SuffixBounds: access index out of range");
-  if (!dense_) return 0;
-  return std::min(wrap_direct_[last * n_ + first],
-                  wrap_suffix_min_[from * n_ + first]);
 }
 
 int SuffixBounds::wrap_direct(std::size_t last, std::size_t first) const {

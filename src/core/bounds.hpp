@@ -97,20 +97,16 @@ class SuffixBounds {
     return predecessors_.data() + to * words_;
   }
 
-  /// Lower bound on the eventual wrap cost of an open register whose
-  /// path currently runs first .. last, when any subset of [from, N)
-  /// may still be appended to it.
-  int wrap_floor(std::size_t first, std::size_t last,
-                 std::size_t from) const;
-
   /// Cached wrap_transition_cost(last -> first) (0 under the trivial
   /// bounds). The search caches this per open register so bound
   /// evaluation never touches the O(N^2) tables.
   int wrap_direct(std::size_t last, std::size_t first) const;
 
-  /// One past the largest access j with wrap_direct(j, first) == 0 —
-  /// costs are 0/1, so wrap_floor(first, last, from) is nonzero iff
-  /// wrap_direct(last, first) != 0 and from >= this horizon. 0 when no
+  /// One past the largest access j with wrap_direct(j, first) == 0.
+  /// Costs are 0/1, so an open register running first .. last with
+  /// accesses [from, N) still unassigned must pay a wrap iff
+  /// wrap_direct(last, first) != 0 and from >= this horizon: no
+  /// access it may still end on closes it for free. 0 when no
   /// zero-cost final access exists for `first`; SIZE_MAX under the
   /// trivial bounds (the floor is always 0 there).
   std::size_t wrap_zero_horizon(std::size_t first) const;
@@ -133,9 +129,6 @@ class SuffixBounds {
   std::size_t root_matching_ = 0;
   /// wrap_direct_[l * n + f] = wrap cost of f following l.
   std::vector<int> wrap_direct_;
-  /// wrap_suffix_min_[t * n + f] = min_{j >= t} wrap_direct_[j][f]
-  /// (row t == n holds an INT_MAX empty-minimum sentinel).
-  std::vector<int> wrap_suffix_min_;
   /// wrap_zero_horizon_[f] = 1 + max{j : wrap_direct_[j][f] == 0}, or
   /// 0 when no zero-cost final access exists.
   std::vector<std::size_t> wrap_zero_horizon_;

@@ -263,9 +263,9 @@ class Searcher {
     std::uint32_t first = 0;
     std::uint32_t last = 0;
     /// Cached wrap cost last -> first and `first`'s zero-wrap horizon
-    /// — the incremental form of SuffixBounds::wrap_floor, updated
-    /// O(1) on assign/undo so bound evaluation touches no O(N^2)
-    /// table.
+    /// (SuffixBounds::wrap_zero_horizon): together they give the
+    /// register's wrap floor, updated O(1) on assign/undo so bound
+    /// evaluation touches no O(N^2) table.
     std::uint8_t wrap_direct = 0;
     std::size_t wrap_horizon = 0;
   };

@@ -1,6 +1,10 @@
 #include "engine/result_codec.hpp"
 
-#include <utility>
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "support/check.hpp"
 #include "support/json.hpp"
@@ -12,31 +16,67 @@ using support::JsonValue;
 
 constexpr std::int64_t kCodecVersion = 1;
 
-JsonValue from_size(std::size_t value) {
-  return JsonValue::number(static_cast<std::int64_t>(value));
+// The writer appends the record straight to one string with the
+// support/json.hpp primitives — no JsonValue tree — and produces the
+// bytes JsonValue::dump() would for the same members in the same
+// order. Each put_* appends `prefix` (the separator, the member's
+// quoted name and its colon, plus any opening braces) and then the
+// value. Sizes and counters are written as int64, as the reader
+// expects.
+
+void put_int(std::string& out, const char* prefix, std::int64_t value) {
+  out += prefix;
+  support::json_append_int(out, value);
 }
 
-JsonValue from_u64(std::uint64_t value) {
-  return JsonValue::number(static_cast<std::int64_t>(value));
+void put_uint(std::string& out, const char* prefix, std::uint64_t value) {
+  put_int(out, prefix, static_cast<std::int64_t>(value));
 }
 
-JsonValue from_int(int value) {
-  return JsonValue::number(static_cast<std::int64_t>(value));
+void put_bool(std::string& out, const char* prefix, bool value) {
+  out += prefix;
+  out += value ? "true" : "false";
+}
+
+void put_optional(std::string& out, const char* prefix,
+                  const std::optional<std::size_t>& value) {
+  if (value.has_value()) {
+    put_uint(out, prefix, *value);
+  } else {
+    out += prefix;
+    out += "null";
+  }
+}
+
+void put_string(std::string& out, const char* prefix, std::string_view value) {
+  out += prefix;
+  support::json_append_string(out, value);
+}
+
+void put_double(std::string& out, const char* prefix, double value) {
+  out += prefix;
+  support::json_append_double(out, value);
 }
 
 // Instructions are dense: one array [op, reg, value, access,
 // next_iteration, mr] per instruction, opcodes/addressing as integers.
 // The codec version (not names) gates compatibility — this is a
 // node-local cache format, not an interchange format.
-JsonValue instruction_to_json(const agu::Instruction& instruction) {
-  JsonValue json = JsonValue::array();
-  json.push_back(from_int(static_cast<int>(instruction.op)));
-  json.push_back(from_size(instruction.reg));
-  json.push_back(JsonValue::number(instruction.value));
-  json.push_back(from_size(instruction.access));
-  json.push_back(JsonValue::boolean(instruction.next_iteration));
-  json.push_back(from_int(instruction.mr));
-  return json;
+void put_instructions(std::string& out, const char* prefix,
+                      const std::vector<agu::Instruction>& instructions) {
+  out += prefix;
+  out += '[';
+  for (std::size_t i = 0; i < instructions.size(); ++i) {
+    const agu::Instruction& instruction = instructions[i];
+    put_int(out, i == 0 ? "[" : ",[", static_cast<int>(instruction.op));
+    put_uint(out, ",", instruction.reg);
+    put_int(out, ",", instruction.value);
+    put_uint(out, ",", instruction.access);
+    put_bool(out, ",", instruction.next_iteration);
+    put_int(out, ",", instruction.mr);
+    out += ']';
+  }
+  out += ']';
 }
 
 agu::Instruction instruction_from_json(const JsonValue& json) {
@@ -54,24 +94,6 @@ agu::Instruction instruction_from_json(const JsonValue& json) {
   instruction.next_iteration = items[4].as_bool();
   instruction.mr = static_cast<std::int32_t>(items[5].as_int());
   return instruction;
-}
-
-JsonValue program_to_json(const agu::Program& program) {
-  JsonValue json = JsonValue::object();
-  JsonValue setup = JsonValue::array();
-  for (const agu::Instruction& instruction : program.setup) {
-    setup.push_back(instruction_to_json(instruction));
-  }
-  json.set("setup", std::move(setup));
-  JsonValue body = JsonValue::array();
-  for (const agu::Instruction& instruction : program.body) {
-    body.push_back(instruction_to_json(instruction));
-  }
-  json.set("body", std::move(body));
-  json.set("registers", from_size(program.register_count));
-  json.set("modify_registers", from_size(program.modify_register_count));
-  json.set("addressing", from_int(static_cast<int>(program.addressing)));
-  return json;
 }
 
 agu::Program program_from_json(const JsonValue& json) {
@@ -103,38 +125,6 @@ agu::Program program_from_json(const JsonValue& json) {
             "result codec: unknown addressing mode");
   program.addressing = static_cast<agu::Addressing>(mode);
   return program;
-}
-
-JsonValue stats_to_json(const core::AllocationStats& stats) {
-  JsonValue json = JsonValue::object();
-  json.set("k_tilde", stats.k_tilde.has_value() ? from_size(*stats.k_tilde)
-                                                : JsonValue::null());
-  json.set("lower_bound", from_size(stats.lower_bound));
-  json.set("upper_bound", stats.upper_bound.has_value()
-                              ? from_size(*stats.upper_bound)
-                              : JsonValue::null());
-  json.set("phase1_exact", JsonValue::boolean(stats.phase1_exact));
-  json.set("search_nodes", from_u64(stats.search_nodes));
-  json.set("merges", from_size(stats.merges));
-  json.set("phase2_exact", JsonValue::boolean(stats.phase2_exact));
-  json.set("phase2_proven", JsonValue::boolean(stats.phase2_proven));
-  json.set("phase2_nodes", from_u64(stats.phase2_nodes));
-  json.set("phase2_lower_bound", from_int(stats.phase2_lower_bound));
-  json.set("phase2_gap", from_int(stats.phase2_gap));
-  json.set("phase2_table_cap_hits", from_u64(stats.phase2_table_cap_hits));
-  json.set("phase2_subtree_tasks", from_u64(stats.phase2_subtree_tasks));
-  json.set("phase2_steals", from_u64(stats.phase2_steals));
-  json.set("phase2_steal_attempts", from_u64(stats.phase2_steal_attempts));
-  json.set("phase2_splits", from_u64(stats.phase2_splits));
-  json.set("phase2_windows", from_size(stats.phase2_windows));
-  json.set("phase2_windows_proven", from_size(stats.phase2_windows_proven));
-  JsonValue widths = JsonValue::array();
-  for (const std::size_t width : stats.phase2_window_widths) {
-    widths.push_back(from_size(width));
-  }
-  json.set("phase2_window_widths", std::move(widths));
-  // phase2_nodes_per_sec is wall-clock derived: never serialized.
-  return json;
 }
 
 core::AllocationStats stats_from_json(const JsonValue& json) {
@@ -196,21 +186,6 @@ core::AllocationStats stats_from_json(const JsonValue& json) {
   return stats;
 }
 
-JsonValue plan_to_json(const core::ModifyRegisterPlan& plan) {
-  JsonValue json = JsonValue::object();
-  JsonValue values = JsonValue::array();
-  for (const core::ModifyRegister& mr : plan.values) {
-    JsonValue entry = JsonValue::array();
-    entry.push_back(JsonValue::number(mr.value));
-    entry.push_back(from_int(mr.covered));
-    values.push_back(std::move(entry));
-  }
-  json.set("values", std::move(values));
-  json.set("covered_per_iteration", from_int(plan.covered_per_iteration));
-  json.set("residual_cost", from_int(plan.residual_cost));
-  return json;
-}
-
 core::ModifyRegisterPlan plan_from_json(const JsonValue& json) {
   check_arg(json.is_object(), "result codec: 'plan' must be an object");
   core::ModifyRegisterPlan plan;
@@ -232,22 +207,6 @@ core::ModifyRegisterPlan plan_from_json(const JsonValue& json) {
   plan.covered_per_iteration = static_cast<int>(covered->as_int());
   plan.residual_cost = static_cast<int>(residual->as_int());
   return plan;
-}
-
-JsonValue sim_to_json(const agu::SimResult& sim) {
-  JsonValue json = JsonValue::object();
-  json.set("verified", JsonValue::boolean(sim.verified));
-  if (!sim.failure.empty()) {
-    json.set("failure", JsonValue::string(sim.failure));
-  }
-  json.set("iterations", from_u64(sim.iterations));
-  json.set("accesses_executed", from_u64(sim.accesses_executed));
-  json.set("setup_instructions", from_u64(sim.setup_instructions));
-  json.set("extra_instructions", from_u64(sim.extra_instructions));
-  json.set("address_cycles", from_u64(sim.address_cycles));
-  // The trace is only recorded under Simulator::Options::record_trace,
-  // which the engine never enables: not serialized.
-  return json;
 }
 
 agu::SimResult sim_from_json(const JsonValue& json) {
@@ -278,44 +237,100 @@ agu::SimResult sim_from_json(const JsonValue& json) {
 }  // namespace
 
 std::string encode_result(const Result& result) {
-  JsonValue json = JsonValue::object();
-  json.set("v", JsonValue::number(kCodecVersion));
-  json.set("stop_after", JsonValue::string(stage_name(result.stop_after)));
-  json.set("layout", JsonValue::string(result.layout));
-  json.set("strategy", JsonValue::string(result.strategy));
+  std::string out;
+  out.reserve(2048);
+  put_int(out, "{\"v\":", kCodecVersion);
+  put_string(out, ",\"stop_after\":", stage_name(result.stop_after));
+  put_string(out, ",\"layout\":", result.layout);
+  put_string(out, ",\"strategy\":", result.strategy);
   if (result.error.has_value()) {
-    JsonValue error = JsonValue::object();
-    error.set("stage", JsonValue::string(stage_name(result.error->stage)));
-    error.set("message", JsonValue::string(result.error->message));
-    json.set("error", std::move(error));
+    put_string(out, ",\"error\":{\"stage\":",
+               stage_name(result.error->stage));
+    put_string(out, ",\"message\":", result.error->message);
+    out += '}';
   }
-  json.set("accesses", from_size(result.accesses));
-  json.set("layout_extent", JsonValue::number(result.layout_extent));
-  json.set("k_tilde", result.k_tilde.has_value() ? from_size(*result.k_tilde)
-                                                 : JsonValue::null());
-  json.set("stats", stats_to_json(result.stats));
-  json.set("allocation_cost", from_int(result.allocation_cost));
-  json.set("intra_cost", from_int(result.intra_cost));
-  json.set("wrap_cost", from_int(result.wrap_cost));
-  json.set("allocation_text", JsonValue::string(result.allocation_text));
-  json.set("plan", plan_to_json(result.plan));
-  json.set("program", program_to_json(result.program));
-  json.set("iterations", from_u64(result.iterations));
-  json.set("sim", sim_to_json(result.sim));
-  json.set("verified", JsonValue::boolean(result.verified));
-  JsonValue metrics = JsonValue::object();
-  metrics.set("baseline_size_words",
-              JsonValue::number(result.baseline_size_words));
-  metrics.set("baseline_cycles", JsonValue::number(result.baseline_cycles));
-  metrics.set("optimized_size_words",
-              JsonValue::number(result.optimized_size_words));
-  metrics.set("optimized_cycles", JsonValue::number(result.optimized_cycles));
-  metrics.set("size_reduction_percent",
-              JsonValue::number(result.size_reduction_percent));
-  metrics.set("speed_reduction_percent",
-              JsonValue::number(result.speed_reduction_percent));
-  json.set("metrics", std::move(metrics));
-  return json.dump();
+  put_uint(out, ",\"accesses\":", result.accesses);
+  put_int(out, ",\"layout_extent\":", result.layout_extent);
+  put_optional(out, ",\"k_tilde\":", result.k_tilde);
+
+  const core::AllocationStats& stats = result.stats;
+  put_optional(out, ",\"stats\":{\"k_tilde\":", stats.k_tilde);
+  put_uint(out, ",\"lower_bound\":", stats.lower_bound);
+  put_optional(out, ",\"upper_bound\":", stats.upper_bound);
+  put_bool(out, ",\"phase1_exact\":", stats.phase1_exact);
+  put_uint(out, ",\"search_nodes\":", stats.search_nodes);
+  put_uint(out, ",\"merges\":", stats.merges);
+  put_bool(out, ",\"phase2_exact\":", stats.phase2_exact);
+  put_bool(out, ",\"phase2_proven\":", stats.phase2_proven);
+  put_uint(out, ",\"phase2_nodes\":", stats.phase2_nodes);
+  put_int(out, ",\"phase2_lower_bound\":", stats.phase2_lower_bound);
+  put_int(out, ",\"phase2_gap\":", stats.phase2_gap);
+  put_uint(out, ",\"phase2_table_cap_hits\":", stats.phase2_table_cap_hits);
+  put_uint(out, ",\"phase2_subtree_tasks\":", stats.phase2_subtree_tasks);
+  put_uint(out, ",\"phase2_steals\":", stats.phase2_steals);
+  put_uint(out, ",\"phase2_steal_attempts\":", stats.phase2_steal_attempts);
+  put_uint(out, ",\"phase2_splits\":", stats.phase2_splits);
+  put_uint(out, ",\"phase2_windows\":", stats.phase2_windows);
+  put_uint(out, ",\"phase2_windows_proven\":", stats.phase2_windows_proven);
+  out += ",\"phase2_window_widths\":[";
+  for (std::size_t i = 0; i < stats.phase2_window_widths.size(); ++i) {
+    put_uint(out, i == 0 ? "" : ",", stats.phase2_window_widths[i]);
+  }
+  // phase2_nodes_per_sec is wall-clock derived: never serialized.
+  out += "]}";
+
+  put_int(out, ",\"allocation_cost\":", result.allocation_cost);
+  put_int(out, ",\"intra_cost\":", result.intra_cost);
+  put_int(out, ",\"wrap_cost\":", result.wrap_cost);
+  put_string(out, ",\"allocation_text\":", result.allocation_text);
+
+  out += ",\"plan\":{\"values\":[";
+  for (std::size_t i = 0; i < result.plan.values.size(); ++i) {
+    const core::ModifyRegister& mr = result.plan.values[i];
+    put_int(out, i == 0 ? "[" : ",[", mr.value);
+    put_int(out, ",", mr.covered);
+    out += ']';
+  }
+  put_int(out, "],\"covered_per_iteration\":",
+          result.plan.covered_per_iteration);
+  put_int(out, ",\"residual_cost\":", result.plan.residual_cost);
+  out += '}';
+
+  const agu::Program& program = result.program;
+  put_instructions(out, ",\"program\":{\"setup\":", program.setup);
+  put_instructions(out, ",\"body\":", program.body);
+  put_uint(out, ",\"registers\":", program.register_count);
+  put_uint(out, ",\"modify_registers\":", program.modify_register_count);
+  put_int(out, ",\"addressing\":", static_cast<int>(program.addressing));
+  out += '}';
+
+  put_uint(out, ",\"iterations\":", result.iterations);
+  const agu::SimResult& sim = result.sim;
+  put_bool(out, ",\"sim\":{\"verified\":", sim.verified);
+  if (!sim.failure.empty()) {
+    put_string(out, ",\"failure\":", sim.failure);
+  }
+  put_uint(out, ",\"iterations\":", sim.iterations);
+  put_uint(out, ",\"accesses_executed\":", sim.accesses_executed);
+  put_uint(out, ",\"setup_instructions\":", sim.setup_instructions);
+  put_uint(out, ",\"extra_instructions\":", sim.extra_instructions);
+  put_uint(out, ",\"address_cycles\":", sim.address_cycles);
+  // The trace is only recorded under Simulator::Options::record_trace,
+  // which the engine never enables: not serialized.
+  out += '}';
+
+  put_bool(out, ",\"verified\":", result.verified);
+  put_int(out, ",\"metrics\":{\"baseline_size_words\":",
+          result.baseline_size_words);
+  put_int(out, ",\"baseline_cycles\":", result.baseline_cycles);
+  put_int(out, ",\"optimized_size_words\":", result.optimized_size_words);
+  put_int(out, ",\"optimized_cycles\":", result.optimized_cycles);
+  put_double(out, ",\"size_reduction_percent\":",
+             result.size_reduction_percent);
+  put_double(out, ",\"speed_reduction_percent\":",
+             result.speed_reduction_percent);
+  out += "}}";
+  return out;
 }
 
 Result decode_result(std::string_view encoded) {

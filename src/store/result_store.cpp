@@ -149,13 +149,9 @@ ResultStore::ResultStore(Options options) : options_(std::move(options)) {
       append_offset_ = kHeaderSize;
       return;
     }
-    // Map the file as it exists now; appends never need remapping
-    // because post-open records are served from memory.
-    void* mapped = ::mmap(nullptr, file_size, PROT_READ, MAP_PRIVATE, fd_, 0);
-    if (mapped != MAP_FAILED) {
-      map_ = static_cast<const char*>(mapped);
-      map_size_ = file_size;
-    }
+    // Map the file as it exists now; records appended later lie past
+    // the map and are read back with pread.
+    remap(file_size);
 
     std::string header(kHeaderSize, '\0');
     if (map_ != nullptr) {
@@ -180,6 +176,9 @@ ResultStore::ResultStore(Options options) : options_(std::move(options)) {
       check_invariant(
           ::ftruncate(fd_, static_cast<off_t>(append_offset_)) == 0,
           "store '" + options_.path + "': cannot truncate torn tail");
+      // Appends reuse the dropped bytes, so the map must end where the
+      // recovered records do.
+      remap(append_offset_);
     }
     // Enough dead weight (shadowed records + the tail just dropped)?
     // Rewrite the live records and swap atomically before serving.
@@ -189,20 +188,32 @@ ResultStore::ResultStore(Options options) : options_(std::move(options)) {
       compact();
     }
   } catch (...) {
-    if (map_ != nullptr) {
-      ::munmap(const_cast<char*>(map_), map_size_);
-    }
+    remap(0);
     ::close(fd_);
     throw;
   }
 }
 
 ResultStore::~ResultStore() {
-  if (map_ != nullptr) {
-    ::munmap(const_cast<char*>(map_), map_size_);
-  }
+  remap(0);
   if (fd_ >= 0) {
     ::close(fd_);
+  }
+}
+
+void ResultStore::remap(std::uint64_t size) {
+  if (map_ != nullptr) {
+    ::munmap(const_cast<char*>(map_), map_size_);
+    map_ = nullptr;
+    map_size_ = 0;
+  }
+  if (size == 0) {
+    return;
+  }
+  void* mapped = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd_, 0);
+  if (mapped != MAP_FAILED) {
+    map_ = static_cast<const char*>(mapped);
+    map_size_ = size;
   }
 }
 
@@ -323,21 +334,10 @@ void ResultStore::compact() {
 
     // The swap is durable; retire the old file's map and descriptor
     // and serve from the compacted one.
-    if (map_ != nullptr) {
-      ::munmap(const_cast<char*>(map_), map_size_);
-      map_ = nullptr;
-      map_size_ = 0;
-    }
+    remap(0);
     ::close(fd_);
     fd_ = temp_fd;
-    if (offset > 0) {
-      void* mapped =
-          ::mmap(nullptr, offset, PROT_READ, MAP_PRIVATE, temp_fd, 0);
-      if (mapped != MAP_FAILED) {
-        map_ = static_cast<const char*>(mapped);
-        map_size_ = offset;
-      }
-    }
+    remap(offset);
     compacted_bytes_ += (append_offset_ - offset);
     append_offset_ = offset;
     index_ = std::move(new_index);
@@ -351,18 +351,21 @@ void ResultStore::compact() {
 }
 
 std::optional<std::string> ResultStore::get(const std::string& key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++misses_;
-    return std::nullopt;
+  Location location;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = index_.find(key);
+    if (it == index_.end()) {
+      ++misses_;
+      return std::nullopt;
+    }
+    ++hits_;
+    location = it->second;
   }
-  ++hits_;
-  const Location& location = it->second;
-  if (location.appended) {
-    return appended_values_[location.appended_index];
-  }
-  if (map_ != nullptr) {
+  // An indexed record's bytes are written before it is indexed and are
+  // never rewritten, so the read needs no lock. The map ends where the
+  // log did at open(); later records are read from the file.
+  if (map_ != nullptr && location.offset + location.length <= map_size_) {
     return std::string(map_ + location.offset, location.length);
   }
   std::string value(location.length, '\0');
@@ -394,14 +397,13 @@ void ResultStore::append(const std::string& key, std::string_view value) {
     check_invariant(::fsync(fd_) == 0,
                     "store '" + options_.path + "': fsync failed");
   }
+  Location location;
+  location.offset = append_offset_ + kFrameSize + key.size();
+  location.length = static_cast<std::uint32_t>(value.size());
   append_offset_ += frame.size();
   appended_bytes_ += frame.size();
   ++appended_records_;
 
-  Location location;
-  location.appended = true;
-  location.appended_index = appended_values_.size();
-  appended_values_.emplace_back(value);
   const auto existing = index_.find(key);
   if (existing != index_.end()) {
     shadowed_bytes_ += kFrameSize + key.size() + existing->second.length;

@@ -20,14 +20,15 @@
 //   record   : u32 key_len, u32 value_len, u32 crc32(key||value),
 //              key bytes, value bytes
 //
-// Reads go through one mmap of the file as it existed at open();
-// records appended later are served from the in-memory index (they
-// are also what the RAM tier just computed, so the double-home is
-// cheap). Appends take a mutex (one writer at a time), optionally
-// fsync per record (Options::fsync_each_append — durability against
-// power loss at a syscall per result), and a later record for an
-// existing key simply shadows the earlier one, so re-computation after
-// a decode failure self-heals the log.
+// The in-memory index holds only keys and file offsets, never values:
+// recovered records are read through one mmap of the log as it was at
+// open(), and records appended later are read back from the file with
+// pread, so memory does not grow with traffic. Appends take a mutex
+// (one writer at a time), optionally fsync per record
+// (Options::fsync_each_append — durability against power loss at a
+// syscall per result), and a later record for an existing key simply
+// shadows the earlier one, so re-computation after a decode failure
+// self-heals the log.
 //
 // The store is deliberately generic (string keys, string values): the
 // engine keys it by fingerprint v3 (engine/fingerprint.hpp), so a
@@ -38,7 +39,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -122,14 +122,14 @@ class ResultStore {
 
  private:
   struct Location {
-    /// Offset of the value bytes inside the mapped region (valid when
-    /// !appended).
+    /// Offset of the value bytes in the log file.
     std::uint64_t offset = 0;
     std::uint32_t length = 0;
-    /// Index into appended_values_ when the record postdates open().
-    bool appended = false;
-    std::size_t appended_index = 0;
   };
+
+  /// Replaces the map with one of the file's first `size` bytes (none
+  /// when 0, or when mmap fails: reads then fall back to pread).
+  void remap(std::uint64_t size);
 
   /// Scans the file, fills the index, returns the offset of the first
   /// byte past the last complete record.
@@ -146,12 +146,11 @@ class ResultStore {
 
   mutable std::mutex mutex_;
   std::unordered_map<std::string, Location> index_;
-  /// Values appended since open(), addressed by Location::appended_index.
-  std::deque<std::string> appended_values_;
 
-  /// The file's bytes as of open(); reads of recovered records come
-  /// from here. Null when the file held no records at open (or mmap is
-  /// unavailable), in which case recovered reads fall back to pread.
+  /// The file's bytes as of open() (after recovery or compaction);
+  /// reads of recovered records come from here. Null when the file held
+  /// no records at open (or mmap is unavailable), in which case every
+  /// read goes through pread.
   const char* map_ = nullptr;
   std::uint64_t map_size_ = 0;
 

@@ -1,9 +1,8 @@
 #include "support/json.hpp"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <system_error>
 
 namespace dspaddr::support {
 namespace {
@@ -14,26 +13,24 @@ void check_type(bool condition, std::string_view what) {
   }
 }
 
-/// Shortest "%.{p}g" rendering that parses back to exactly `value`.
-std::string dump_double(double value) {
-  if (!std::isfinite(value)) {
-    // JSON has no Infinity/NaN; null is the conventional stand-in.
-    return "null";
+/// The escape sequence for byte `c`, or nullptr when it is written
+/// verbatim. Control characters without a short form are written by
+/// the caller as \u00xx.
+const char* short_escape(unsigned char c) {
+  switch (c) {
+    case '"': return "\\\"";
+    case '\\': return "\\\\";
+    case '\b': return "\\b";
+    case '\f': return "\\f";
+    case '\n': return "\\n";
+    case '\r': return "\\r";
+    case '\t': return "\\t";
+    default: return nullptr;
   }
-  char buffer[64];
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
-    if (std::strtod(buffer, nullptr) == value) {
-      break;
-    }
-  }
-  std::string text(buffer);
-  // Ensure the result reads back as a number with a fractional part so
-  // that dump/parse round-trips preserve the double-ness of the value.
-  if (text.find_first_of(".eE") == std::string::npos) {
-    text += ".0";
-  }
-  return text;
+}
+
+bool needs_escape(unsigned char c) {
+  return c < 0x20 || c == '"' || c == '\\';
 }
 
 /// Containers deeper than this fail to parse: the recursive-descent
@@ -201,6 +198,14 @@ private:
     ++pos_;
     std::string out;
     for (;;) {
+      // Everything up to the next quote, backslash or control character
+      // is copied verbatim, in one append.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() &&
+             !needs_escape(static_cast<unsigned char>(text_[pos_]))) {
+        ++pos_;
+      }
+      out.append(text_.data() + run, pos_ - run);
       if (pos_ >= text_.size()) {
         fail("unterminated string");
       }
@@ -208,12 +213,8 @@ private:
       if (c == '"') {
         return out;
       }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("unescaped control character in string");
-      }
       if (c != '\\') {
-        out += c;
-        continue;
+        fail("unescaped control character in string");
       }
       if (pos_ >= text_.size()) {
         fail("unterminated escape");
@@ -264,8 +265,7 @@ private:
   /// every position a run may appear.
   std::size_t take_digits() {
     std::size_t count = 0;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
       ++pos_;
       ++count;
     }
@@ -298,19 +298,21 @@ private:
         fail("invalid number: expected a digit in the exponent");
       }
     }
-    const std::string token(text_.substr(start, pos_ - start));
     if (!is_double) {
-      try {
-        return JsonValue::number(std::int64_t{std::stoll(token)});
-      } catch (const std::out_of_range&) {
-        // Falls through: an integer beyond int64 is still a valid JSON
-        // number, representable (with precision loss) as a double.
-      } catch (const std::exception&) {
-        fail("invalid number");
+      std::int64_t value = 0;
+      const auto [end, error] =
+          std::from_chars(text_.data() + start, text_.data() + pos_, value);
+      if (error == std::errc{} && end == text_.data() + pos_) {
+        return JsonValue::number(value);
       }
+      // Falls through: an integer beyond int64 is still a valid JSON
+      // number, representable (with precision loss) as a double.
     }
+    // std::stod, not from_chars: its range errors (overflow and
+    // underflow alike) define which numbers this parser rejects.
     try {
-      return JsonValue::number(std::stod(token));
+      return JsonValue::number(
+          std::stod(std::string(text_.substr(start, pos_ - start))));
     } catch (const std::out_of_range&) {
       // Magnitude beyond double range; JSON cannot carry infinity, so
       // this is the one syntactically-valid number we reject.
@@ -334,15 +336,13 @@ void dump_value(const JsonValue& value, std::string& out) {
       out += value.as_bool() ? "true" : "false";
       return;
     case JsonValue::Type::kInt:
-      out += std::to_string(value.as_int());
+      json_append_int(out, value.as_int());
       return;
     case JsonValue::Type::kDouble:
-      out += dump_double(value.as_double());
+      json_append_double(out, value.as_double());
       return;
     case JsonValue::Type::kString:
-      out += '"';
-      out += json_escape(value.as_string());
-      out += '"';
+      json_append_string(out, value.as_string());
       return;
     case JsonValue::Type::kArray: {
       out += '[';
@@ -361,9 +361,8 @@ void dump_value(const JsonValue& value, std::string& out) {
       for (const JsonValue::Member& member : value.members()) {
         if (!first) out += ',';
         first = false;
-        out += '"';
-        out += json_escape(member.first);
-        out += "\":";
+        json_append_string(out, member.first);
+        out += ':';
         dump_value(member.second, out);
       }
       out += '}';
@@ -482,30 +481,68 @@ JsonValue JsonValue::parse(std::string_view text) {
   return Parser(text).parse_document();
 }
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
+void json_append_string(std::string& out, std::string_view text) {
+  out += '"';
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (!needs_escape(c)) {
+      continue;
+    }
+    out.append(text.data() + run, i - run);
+    run = i + 1;
+    if (const char* escape = short_escape(c)) {
+      out += escape;
+    } else {
+      constexpr char kHex[] = "0123456789abcdef";
+      out += "\\u00";
+      out += kHex[c >> 4];
+      out += kHex[c & 0xF];
     }
   }
-  return out;
+  out.append(text.data() + run, text.size() - run);
+  out += '"';
+}
+
+void json_append_int(std::string& out, std::int64_t value) {
+  char buffer[24];
+  const char* end = std::to_chars(buffer, buffer + sizeof(buffer), value).ptr;
+  out.append(buffer, static_cast<std::size_t>(end - buffer));
+}
+
+void json_append_double(std::string& out, double value) {
+  using std::chars_format;
+  if (!std::isfinite(value)) {
+    out += "null";
+    return;
+  }
+  // No "%.{p}g" with fewer significant digits than the shortest
+  // round-trip form parses back, so the search for the shortest one
+  // that does starts at that digit count instead of at p = 1. to_chars
+  // with a precision formats exactly like printf's "%.*g".
+  char buffer[64];
+  char* const last = buffer + sizeof(buffer);
+  const char* end =
+      std::to_chars(buffer, last, value, chars_format::scientific).ptr;
+  int digits = 0;
+  for (const char* p = buffer; p != end && *p != 'e'; ++p) {
+    digits += *p >= '0' && *p <= '9';
+  }
+  for (;; ++digits) {
+    end = std::to_chars(buffer, last, value, chars_format::general, digits).ptr;
+    double parsed = 0.0;
+    std::from_chars(buffer, end, parsed);
+    if (parsed == value || digits >= 17) {
+      break;
+    }
+  }
+  const std::string_view text(buffer, static_cast<std::size_t>(end - buffer));
+  out += text;
+  // Ensure the result reads back as a number with a fractional part so
+  // that dump/parse round-trips preserve the double-ness of the value.
+  if (text.find_first_of(".e") == std::string_view::npos) {
+    out += ".0";
+  }
 }
 
 }  // namespace dspaddr::support

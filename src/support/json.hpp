@@ -102,7 +102,22 @@ private:
   Object object_;
 };
 
-/// Escapes one string per RFC 8259 (quotes, backslash, control chars).
-std::string json_escape(std::string_view text);
+// Append primitives: dump() is built from these, and writers that know
+// their schema (engine/result_codec.cpp) call them directly instead of
+// building a tree only to dump it. Each produces exactly the bytes
+// dump() writes for the same value.
+
+/// Appends `text` as a quoted JSON string, escaped per RFC 8259:
+/// quote, backslash, \b \f \n \r \t, other control characters as
+/// \u00xx; every other byte (UTF-8 included) verbatim.
+void json_append_string(std::string& out, std::string_view text);
+
+/// Appends `value` in decimal.
+void json_append_int(std::string& out, std::int64_t value);
+
+/// Appends the shortest "%.{p}g" rendering of `value` that parses back
+/// to exactly `value`, with ".0" added when that text would read back
+/// as an integer; null for a non-finite value (JSON has none).
+void json_append_double(std::string& out, double value);
 
 }  // namespace dspaddr::support

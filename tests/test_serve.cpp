@@ -53,6 +53,45 @@ TEST(Serve, AnswersOneLinePerRequest) {
   EXPECT_EQ(second.find("machine")->find("registers")->as_int(), 2);
 }
 
+TEST(Serve, IdEchoLeadsTheResponseForEveryJsonType) {
+  // Full response lines, byte for byte: the "id" echo, when present,
+  // is the first member and is written exactly as the request's value
+  // re-dumps; the members after it are the --format=json object's.
+  const std::string fields =
+      R"("builtin":"fir","registers":2,"stop_after":"lower"})";
+  const std::string members =
+      R"("kernel":{"name":"fir","arrays":2,"accesses":2,"iterations":16,)"
+      R"("data_ops":1},"machine":{"name":"custom","description":)"
+      R"("request-defined AGU","classes":[{"name":"ar","kind":"address",)"
+      R"("count":2}],"modify_lo":-1,"modify_hi":1,"inc":[],"dec":[],)"
+      R"("addressing":"post","registers":2,"modify_registers":0,)"
+      R"("modify_range":1},"layout":"contiguous","strategy":"two-phase",)"
+      R"("stop_after":"lower","stages":{"lower":{"accesses":2,)"
+      R"("layout_extent":80}}})";
+  const std::vector<std::string> ids = {
+      "",
+      R"("id":7,)",
+      R"("id":"a\"b\\c\u00e9\n",)",
+      R"("id":{"k":[1,-2.5e-7,true],"s":"x"},)",
+      R"("id":null,)",
+  };
+  std::string input;
+  for (const std::string& id : ids) {
+    input += "{" + id + fields + "\n";
+  }
+  input += R"({"id":[3],"builtin":"nope"})";
+  const std::vector<std::string> lines = serve_lines(input);
+  ASSERT_EQ(lines.size(), 6u);
+  EXPECT_EQ(lines[0], "{" + members);
+  EXPECT_EQ(lines[1], R"({"id":7,)" + members);
+  EXPECT_EQ(lines[2], "{\"id\":\"a\\\"b\\\\c\xC3\xA9\\n\"," + members);
+  EXPECT_EQ(lines[3], R"({"id":{"k":[1,-2.5e-07,true],"s":"x"},)" + members);
+  EXPECT_EQ(lines[4], R"({"id":null,)" + members);
+  EXPECT_EQ(lines[5],
+            R"({"id":[3],"error":{"stage":"request","message":)"
+            R"("builtin_kernel: unknown kernel 'nope'"}})");
+}
+
 TEST(Serve, RepeatedFixtureIsByteIdenticalAndHitsTheCache) {
   // The CI smoke's contract, in-process: the same fixture piped twice
   // through one serve session answers identically both times, and the

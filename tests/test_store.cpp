@@ -7,11 +7,13 @@
 #include <cstdio>
 #include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "agu/machines.hpp"
+#include "cli/serve.hpp"
 #include "engine/engine.hpp"
 #include "engine/fingerprint.hpp"
 #include "engine/result_codec.hpp"
@@ -21,6 +23,8 @@
 #include "ir/layout.hpp"
 #include "store/result_store.hpp"
 #include "support/check.hpp"
+#include "support/json.hpp"
+#include "support/strings.hpp"
 
 namespace dspaddr {
 namespace {
@@ -148,6 +152,46 @@ TEST(Store, FsyncOptionStillRoundTrips) {
   store::ResultStore db(options);
   db.append("k", "durable");
   EXPECT_EQ(db.get("k"), std::optional<std::string>("durable"));
+}
+
+TEST(Store, AppendedRecordsReadBackFromTheLogAcrossReopens) {
+  // Records appended after open() are not kept in memory: they are read
+  // back from the file, past the end of the map of the log as it was at
+  // open. Values here straddle page boundaries and shadow both a
+  // recovered record and one appended after the same open().
+  const std::string path = temp_path("appended.log");
+  const std::string big(9000, 'b');
+  std::string mixed;
+  for (int i = 0; i < 3000; ++i) {
+    mixed += static_cast<char>(i * 7);
+  }
+  {
+    store::ResultStore db(store_options(path));
+    db.append("recovered", "first boot");
+    db.append("twice", "one");
+  }
+  {
+    store::ResultStore db(store_options(path));
+    ASSERT_EQ(db.stats().recovered_records, 2u);
+    db.append("big", big);
+    db.append("mixed", mixed);
+    db.append("recovered", "second boot");
+    db.append("twice", "two");
+    db.append("twice", "three");
+    EXPECT_EQ(db.get("big"), std::optional<std::string>(big));
+    EXPECT_EQ(db.get("mixed"), std::optional<std::string>(mixed));
+    EXPECT_EQ(db.get("recovered"), std::optional<std::string>("second boot"));
+    EXPECT_EQ(db.get("twice"), std::optional<std::string>("three"));
+    EXPECT_EQ(db.stats().records, 4u);
+  }
+  store::ResultStore db(store_options(path));
+  EXPECT_EQ(db.get("big"), std::optional<std::string>(big));
+  EXPECT_EQ(db.get("mixed"), std::optional<std::string>(mixed));
+  EXPECT_EQ(db.get("recovered"), std::optional<std::string>("second boot"));
+  EXPECT_EQ(db.get("twice"), std::optional<std::string>("three"));
+  const store::StoreStats stats = db.stats();
+  EXPECT_EQ(stats.records, 4u);
+  EXPECT_EQ(stats.recovered_records, 7u);
 }
 
 // --------------------------------------------------------- crash safety
@@ -586,6 +630,119 @@ TEST(StoreCodec, GarbageIsRejected) {
   EXPECT_THROW(engine::decode_result("not json"), Error);
   EXPECT_THROW(engine::decode_result("{}"), Error);
   EXPECT_THROW(engine::decode_result("{\"v\":999}"), Error);
+}
+
+
+// ------------------------------------------------ record compatibility
+
+/// The requests behind tests/golden/store_records.tsv, in its order:
+/// the serve smoke fixture, a multi-window tiled solve (the first
+/// solve-hard instance) and a stop_after prefix.
+std::vector<std::string> fixture_requests() {
+  std::vector<std::string> requests;
+  for (const char* file :
+       {"/workloads/serve_smoke.jsonl", "/workloads/solve_hard.jsonl"}) {
+    std::istringstream lines(
+        read_bytes(std::string(DSPADDR_SOURCE_DIR) + file));
+    for (std::string line; std::getline(lines, line);) {
+      requests.push_back(line);
+      if (requests.size() == 4) break;
+    }
+  }
+  requests.push_back(
+      "{\"id\":5,\"builtin\":\"fir\",\"registers\":2,\"modify_range\":1,"
+      "\"stop_after\":\"allocate\"}");
+  return requests;
+}
+
+struct FixtureRecord {
+  std::string key;
+  std::string value;
+};
+
+/// Store records as an earlier build wrote them: one `key<TAB>value`
+/// line per record, copied out of the log that `dspaddr serve --store`
+/// wrote for fixture_requests(). Not regenerated with the goldens: the
+/// point is that records already on disk keep decoding, and that new
+/// ones are written byte for byte like them.
+std::vector<FixtureRecord> fixture_records() {
+  std::vector<FixtureRecord> records;
+  std::istringstream lines(read_bytes(std::string(DSPADDR_SOURCE_DIR) +
+                                      "/tests/golden/store_records.tsv"));
+  for (std::string line; std::getline(lines, line);) {
+    const std::size_t tab = line.find('\t');
+    EXPECT_NE(tab, std::string::npos) << line;
+    records.push_back({line.substr(0, tab), line.substr(tab + 1)});
+  }
+  return records;
+}
+
+std::vector<std::string> serve_answers(const std::vector<std::string>& lines,
+                                       const std::string& store_path) {
+  std::string input;
+  for (const std::string& line : lines) {
+    input += line + "\n";
+  }
+  std::istringstream in(input);
+  std::ostringstream out;
+  cli::ServeOptions options;
+  options.store_path = store_path;
+  EXPECT_EQ(cli::run_serve(in, out, options), 0);
+  std::vector<std::string> answers;
+  for (const std::string& answer : support::split(out.str(), '\n')) {
+    if (!answer.empty()) answers.push_back(answer);
+  }
+  return answers;
+}
+
+TEST(StoreRecords, NewRecordsAreByteIdenticalToTheFixture) {
+  const std::vector<FixtureRecord> records = fixture_records();
+  const std::vector<std::string> requests = fixture_requests();
+  ASSERT_EQ(records.size(), requests.size());
+  const std::string path = temp_path("fixture_cold.log");
+  serve_answers(requests, path);
+  store::ResultStore db(store_options(path));
+  EXPECT_EQ(db.stats().recovered_records, records.size());
+  for (const FixtureRecord& record : records) {
+    EXPECT_EQ(db.get(record.key), std::optional<std::string>(record.value))
+        << record.key;
+  }
+}
+
+TEST(StoreRecords, FixtureRecordsRoundTripThroughTheCodec) {
+  for (const FixtureRecord& record : fixture_records()) {
+    EXPECT_EQ(engine::encode_result(engine::decode_result(record.value)),
+              record.value)
+        << record.key;
+  }
+}
+
+TEST(StoreRecords, StoreSeededWithTheFixtureAnswersLikeAColdEngine) {
+  const std::vector<std::string> requests = fixture_requests();
+  const std::vector<std::string> cold = serve_answers(requests, "");
+  const std::string path = temp_path("fixture_seeded.log");
+  {
+    store::ResultStore db(store_options(path));
+    for (const FixtureRecord& record : fixture_records()) {
+      db.append(record.key, record.value);
+    }
+  }
+  std::vector<std::string> lines = requests;
+  lines.push_back("{\"stats\":true}");
+  const std::vector<std::string> warm = serve_answers(lines, path);
+  ASSERT_EQ(warm.size(), requests.size() + 1);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(warm[i], cold[i]) << "request " << i;
+  }
+  // Every answer came from the store: no miss, no append, no search.
+  const support::JsonValue stats =
+      *support::JsonValue::parse(warm.back()).find("stats");
+  const support::JsonValue& store = *stats.find("store");
+  EXPECT_EQ(store.find("hits")->as_int(),
+            static_cast<std::int64_t>(requests.size()));
+  EXPECT_EQ(store.find("misses")->as_int(), 0);
+  EXPECT_EQ(store.find("appended_records")->as_int(), 0);
+  EXPECT_EQ(stats.find("phase2")->find("nodes")->as_int(), 0);
 }
 
 }  // namespace
