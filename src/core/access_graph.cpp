@@ -4,33 +4,34 @@
 
 namespace dspaddr::core {
 
-AccessGraph::AccessGraph(const ir::AccessSequence& seq,
-                         const CostModel& model)
-    : seq_(seq), model_(model), intra_(seq.size()) {
+namespace {
+
+const CostModel& valid_model(const CostModel& model) {
   check_arg(model.valid(),
             "AccessGraph: modify window [lo, hi] must contain 0");
-  const std::size_t n = seq_.size();
+  return model;
+}
+
+}  // namespace
+
+AccessGraph::AccessGraph(const ir::AccessSequence& seq,
+                         const CostModel& model)
+    : costs_(seq, valid_model(model)), intra_(seq.size()) {
+  const std::size_t n = seq.size();
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
-      if (intra_zero_cost(seq_, i, j, model_)) {
+      if (costs_.intra_cost(i, j) == 0) {
         intra_.add_edge(static_cast<graph::NodeId>(i),
                         static_cast<graph::NodeId>(j));
       }
     }
   }
-  wrap_ok_.assign(n * n, false);
-  for (std::size_t last = 0; last < n; ++last) {
-    for (std::size_t first = 0; first < n; ++first) {
-      wrap_ok_[last * n + first] =
-          wrap_zero_cost(seq_, last, first, model_);
-    }
-  }
 }
 
 bool AccessGraph::wrap_edge(std::size_t last, std::size_t first) const {
-  const std::size_t n = seq_.size();
+  const std::size_t n = node_count();
   check_arg(last < n && first < n, "AccessGraph: node out of range");
-  return wrap_ok_[last * n + first];
+  return costs_.wrap_direct(last, first) == 0;
 }
 
 }  // namespace dspaddr::core

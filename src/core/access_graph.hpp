@@ -8,10 +8,14 @@
 // (wrap) edges represent the same relation from an access in iteration t
 // to an access in iteration t+1; they determine whether a register's
 // path can be closed at zero cost across the loop back-edge.
+//
+// Both relations live once, in the graph's step-cost table
+// (SuffixBounds): the digraph is built from its rows and wrap_edge
+// reads them. The allocator hands that table to every phase-1
+// question, the merger and the phase-2 solve of the request.
 #pragma once
 
-#include <vector>
-
+#include "core/bounds.hpp"
 #include "core/cost_model.hpp"
 #include "graph/digraph.hpp"
 #include "ir/access_sequence.hpp"
@@ -33,16 +37,15 @@ public:
   /// this is always true (the boundary is never charged).
   bool wrap_edge(std::size_t last, std::size_t first) const;
 
-  const ir::AccessSequence& sequence() const { return seq_; }
-  const CostModel& model() const { return model_; }
+  const ir::AccessSequence& sequence() const { return costs_.sequence(); }
+  const CostModel& model() const { return costs_.model(); }
+
+  /// The step-cost table both relations are read from.
+  const SuffixBounds& costs() const { return costs_; }
 
 private:
-  ir::AccessSequence seq_;
-  CostModel model_;
+  SuffixBounds costs_;
   graph::Digraph intra_;
-  // wrap_ok_[last * N + first]; materialized because phase 1's greedy
-  // cover and its split repair query it repeatedly.
-  std::vector<bool> wrap_ok_;
 };
 
 }  // namespace dspaddr::core

@@ -75,7 +75,11 @@ Allocation RegisterAllocator::run(const ir::AccessSequence& seq) const {
     return Allocation(seq, model, {}, stats);
   }
 
+  // One step-cost table serves the whole request: the graph is built
+  // from it, and phase 1's questions, the merger and the phase-2 solve
+  // read it.
   const AccessGraph graph(seq, model);
+  const SuffixBounds& costs = graph.costs();
   const Phase1Result phase1 = compute_min_register_cover(graph);
   stats.k_tilde = phase1.k_tilde;
   stats.lower_bound = phase1.lower_bound;
@@ -86,9 +90,8 @@ Allocation RegisterAllocator::run(const ir::AccessSequence& seq) const {
   std::vector<Path> paths = phase1.cover;
   if (paths.size() > config_.registers) {
     std::vector<MergeStep> trace;
-    paths = merge_to_register_limit(seq, model, std::move(paths),
-                                    config_.registers, config_.merge,
-                                    &trace);
+    paths = merge_to_register_limit(costs, std::move(paths),
+                                    config_.registers, config_.merge, &trace);
     stats.merges = trace.size();
   }
   validate_allocation(seq, paths, config_.registers);
@@ -114,8 +117,8 @@ Allocation RegisterAllocator::run(const ir::AccessSequence& seq) const {
     options.warm_start = paths;
     options.abort = phase2.abort;
     const auto search_start = std::chrono::steady_clock::now();
-    const ExactResult exact = exact_min_cost_allocation(
-        seq, model, config_.registers, options);
+    const ExactResult exact =
+        exact_min_cost_allocation(costs, config_.registers, options);
     const double search_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       search_start)

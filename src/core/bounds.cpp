@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <limits>
 
+#include "core/access_graph.hpp"
 #include "graph/path_cover.hpp"
 #include "support/check.hpp"
 
@@ -134,15 +135,16 @@ std::optional<std::vector<Path>> greedy_zero_cost_cover(
 
 SuffixBounds::SuffixBounds(const ir::AccessSequence& seq,
                            const CostModel& model)
-    : n_(seq.size()), dense_(seq.size() <= kDenseLimit) {
+    : seq_(seq), model_(model), dense_(seq.size() <= kDenseLimit) {
   if (!dense_) return;
 
-  words_ = (n_ + 63) / 64;
-  successors_.assign(n_ * words_, 0);
-  predecessors_.assign(n_ * words_, 0);
-  for (std::size_t p = 0; p < n_; ++p) {
-    for (std::size_t j = p + 1; j < n_; ++j) {
-      if (intra_transition_cost(seq, p, j, model) != 0) continue;
+  const std::size_t n = seq_.size();
+  words_ = (n + 63) / 64;
+  successors_.assign(n * words_, 0);
+  predecessors_.assign(n * words_, 0);
+  for (std::size_t p = 0; p < n; ++p) {
+    for (std::size_t j = p + 1; j < n; ++j) {
+      if (intra_transition_cost(seq_, p, j, model_) != 0) continue;
       successors_[p * words_ + j / 64] |= bit(j);
       predecessors_[j * words_ + p / 64] |= bit(p);
     }
@@ -150,43 +152,36 @@ SuffixBounds::SuffixBounds(const ir::AccessSequence& seq,
   ResidualMatching root(*this);
   root.rebuild(0, {});
   root_matching_ = root.size();
+  root_partner_ = std::move(root.partner_);
 
-  wrap_direct_.assign(n_ * n_, 0);
-  for (std::size_t l = 0; l < n_; ++l) {
-    for (std::size_t f = 0; f < n_; ++f) {
-      wrap_direct_[l * n_ + f] = wrap_transition_cost(seq, l, f, model);
-    }
-  }
-  wrap_zero_horizon_.assign(n_, 0);
-  for (std::size_t f = 0; f < n_; ++f) {
-    for (std::size_t j = n_; j-- > 0;) {
-      if (wrap_direct_[j * n_ + f] == 0) {
-        wrap_zero_horizon_[f] = j + 1;
-        break;
-      }
+  wrap_free_.assign(n * words_, 0);
+  wrap_zero_horizon_.assign(n, 0);
+  for (std::size_t l = 0; l < n; ++l) {
+    for (std::size_t f = 0; f < n; ++f) {
+      if (wrap_transition_cost(seq_, l, f, model_) != 0) continue;
+      wrap_free_[l * words_ + f / 64] |= bit(f);
+      wrap_zero_horizon_[f] = l + 1;
     }
   }
 }
 
-int SuffixBounds::wrap_direct(std::size_t last, std::size_t first) const {
-  check_arg(first < n_ && last < n_,
-            "SuffixBounds: access index out of range");
-  if (!dense_) return 0;
-  return wrap_direct_[last * n_ + first];
-}
-
-std::size_t SuffixBounds::wrap_zero_horizon(std::size_t first) const {
-  check_arg(first < n_, "SuffixBounds: access index out of range");
-  if (!dense_) return std::numeric_limits<std::size_t>::max();
-  return wrap_zero_horizon_[first];
+int SuffixBounds::path_cost(const Path& path) const {
+  const std::vector<std::size_t>& indices = path.indices();
+  if (indices.empty()) return 0;
+  int cost = wrap_direct(indices.back(), indices.front());
+  for (std::size_t i = 0; i + 1 < indices.size(); ++i) {
+    cost += intra_cost(indices[i], indices[i + 1]);
+  }
+  return cost;
 }
 
 int SuffixBounds::root_lower_bound(std::size_t registers) const {
   if (!dense_) return 0;
   // Every access is entered by a fresh register, a free matched edge or
   // a paid transition.
+  const std::size_t n = seq_.size();
   const std::size_t free_entries = root_matching_ + registers;
-  return free_entries >= n_ ? 0 : static_cast<int>(n_ - free_entries);
+  return free_entries >= n ? 0 : static_cast<int>(n - free_entries);
 }
 
 ResidualMatching::ResidualMatching(const SuffixBounds& bounds)
@@ -218,6 +213,18 @@ void ResidualMatching::rebuild(std::size_t next,
     for (std::uint64_t bits = left_active_[w]; bits != 0; bits &= bits - 1) {
       if (augment_from_left(w * 64 + lowest_bit(bits))) ++size_;
     }
+  }
+  trail_.clear();
+  steps_.clear();
+}
+
+void ResidualMatching::start_at_root() {
+  next_ = 0;
+  size_ = bounds_.root_matching_;
+  partner_ = bounds_.root_partner_;
+  std::fill(left_active_.begin(), left_active_.end(), 0);
+  for (std::size_t v = 0; v < n_; ++v) {
+    left_active_[v / 64] |= bit(v);
   }
   trail_.clear();
   steps_.clear();

@@ -1,6 +1,7 @@
 // Lower and upper bounds on K~, the minimum number of virtual address
 // registers admitting a zero-cost allocation (paper section 3.1), plus
-// the admissible suffix bounds driving the phase-2 exact search.
+// the step-cost table and admissible suffix bounds driving the exact
+// search.
 //
 // * Lower bound: the minimum path cover of the intra-iteration zero-cost
 //   DAG, computed exactly as N - (maximum bipartite matching) — the
@@ -12,9 +13,13 @@
 //   by a split-repair pass that restores zero wrap cost. The result is a
 //   valid zero-cost cover (hence an upper bound on K~) whenever one
 //   exists.
-// * SuffixBounds: O(N^2) tables underestimating the cost still to be
-//   paid by a partial phase-2 assignment — bitset rows of the free intra
-//   edges and a wrap-cost floor per open register.
+// * SuffixBounds: the step costs of one (sequence, model) pair,
+//   tabulated once per request — bitset rows of the free intra edges
+//   and of the free wraps, each access's zero-wrap horizon and the root
+//   matching — and the admissible bounds they give on the cost still to
+//   be paid by a partial assignment. The AccessGraph owns the request's
+//   table; phase 1's questions, the merger and the phase-2 solve read
+//   it instead of calling the cost model.
 // * ResidualMatching: a maximum matching of the free intra edges still
 //   usable by a partial assignment, repaired incrementally as the
 //   search assigns and undoes accesses — the same Araujo et al. bound,
@@ -26,10 +31,13 @@
 #include <optional>
 #include <vector>
 
-#include "core/access_graph.hpp"
+#include "core/cost_model.hpp"
 #include "core/path.hpp"
+#include "ir/access_sequence.hpp"
 
 namespace dspaddr::core {
+
+class AccessGraph;
 
 /// Matching-based lower bound on K~ (exact minimum under kAcyclic).
 std::size_t lower_bound_registers(const AccessGraph& graph);
@@ -46,8 +54,15 @@ std::vector<Path> acyclic_optimal_cover(const AccessGraph& graph);
 std::optional<std::vector<Path>> greedy_zero_cost_cover(
     const AccessGraph& graph);
 
-/// Admissible lower bounds on the remaining cost of a partial phase-2
+/// The step costs of one access sequence under one cost model, and
+/// admissible lower bounds on the remaining cost of a partial phase-2
 /// assignment (accesses [from, N) still unassigned).
+///
+/// Up to kDenseLimit accesses every intra and wrap cost is one bit of a
+/// row built here, so a read is one load with no index check: callers
+/// pass indices below size(). Above it no row is built, each read asks
+/// the cost model, and the bounds are the trivial (still admissible)
+/// zero.
 ///
 /// Two relaxations, both sound because they drop the same-register
 /// coupling between decisions:
@@ -65,7 +80,7 @@ std::optional<std::vector<Path>> greedy_zero_cost_cover(
 /// accesses vs. wrap transitions), so their sum is admissible too.
 class SuffixBounds {
  public:
-  /// Above this many accesses the O(N^2) tables are not built and every
+  /// Above this many accesses the O(N^2) rows are not built and every
   /// bound degrades to the trivial (still admissible) zero — the search
   /// then falls back to incumbent-only pruning instead of exhausting
   /// memory on instances it could never finish anyway.
@@ -78,7 +93,10 @@ class SuffixBounds {
   bool dense() const { return dense_; }
 
   /// Number of accesses.
-  std::size_t size() const { return n_; }
+  std::size_t size() const { return seq_.size(); }
+
+  const ir::AccessSequence& sequence() const { return seq_; }
+  const CostModel& model() const { return model_; }
 
   /// 64-bit words per bitset row.
   std::size_t row_words() const { return words_; }
@@ -97,10 +115,18 @@ class SuffixBounds {
     return predecessors_.data() + to * words_;
   }
 
-  /// Cached wrap_transition_cost(last -> first) (0 under the trivial
-  /// bounds). The search caches this per open register so bound
-  /// evaluation never touches the O(N^2) tables.
-  int wrap_direct(std::size_t last, std::size_t first) const;
+  /// intra_transition_cost(p -> q) for p < q < size(), unchecked.
+  int intra_cost(std::size_t p, std::size_t q) const {
+    if (!dense_) return intra_transition_cost(seq_, p, q, model_);
+    return has_bit(free_successors(p), q) ? 0 : 1;
+  }
+
+  /// wrap_transition_cost(last -> first) for indices below size(),
+  /// unchecked.
+  int wrap_direct(std::size_t last, std::size_t first) const {
+    if (!dense_) return wrap_transition_cost(seq_, last, first, model_);
+    return has_bit(wrap_free_.data() + last * words_, first) ? 0 : 1;
+  }
 
   /// One past the largest access j with wrap_direct(j, first) == 0.
   /// Costs are 0/1, so an open register running first .. last with
@@ -108,8 +134,14 @@ class SuffixBounds {
   /// wrap_direct(last, first) != 0 and from >= this horizon: no
   /// access it may still end on closes it for free. 0 when no
   /// zero-cost final access exists for `first`; SIZE_MAX under the
-  /// trivial bounds (the floor is always 0 there).
-  std::size_t wrap_zero_horizon(std::size_t first) const;
+  /// trivial bounds (the floor is always 0 there). Unchecked.
+  std::size_t wrap_zero_horizon(std::size_t first) const {
+    if (!dense_) return static_cast<std::size_t>(-1);
+    return wrap_zero_horizon_[first];
+  }
+
+  /// C(P) (core::path_cost) of a path over this sequence.
+  int path_cost(const Path& path) const;
 
   /// Bound on the whole problem (the empty assignment) with `registers`
   /// registers available: max(0, K~acyc - registers), where K~acyc is
@@ -118,20 +150,30 @@ class SuffixBounds {
   int root_lower_bound(std::size_t registers) const;
 
  private:
-  std::size_t n_ = 0;
+  friend class ResidualMatching;
+
+  static bool has_bit(const std::uint64_t* row, std::size_t index) {
+    return ((row[index / 64] >> (index % 64)) & 1) != 0;
+  }
+
+  ir::AccessSequence seq_;
+  CostModel model_;
   bool dense_ = true;
   std::size_t words_ = 0;
   /// Row-major bitset rows of row_words() words each (see
   /// free_successors / free_predecessors).
   std::vector<std::uint64_t> successors_;
   std::vector<std::uint64_t> predecessors_;
-  /// Maximum matching size of the free intra edges over all accesses.
-  std::size_t root_matching_ = 0;
-  /// wrap_direct_[l * n + f] = wrap cost of f following l.
-  std::vector<int> wrap_direct_;
-  /// wrap_zero_horizon_[f] = 1 + max{j : wrap_direct_[j][f] == 0}, or
-  /// 0 when no zero-cost final access exists.
+  /// Row `last` has bit `first` set iff the wrap last -> first is free.
+  std::vector<std::uint64_t> wrap_free_;
+  /// wrap_zero_horizon_[f] = 1 + max{j : wrap j -> f is free}, or 0
+  /// when no zero-cost final access exists.
   std::vector<std::size_t> wrap_zero_horizon_;
+  /// The maximum matching of the free intra edges over all accesses
+  /// (ResidualMatching's partner slots) and its size: every solve
+  /// without a pinned prefix starts from it.
+  std::vector<std::uint32_t> root_partner_;
+  std::size_t root_matching_ = 0;
 };
 
 /// Maximum matching of the free intra edges a partial assignment can
@@ -162,6 +204,10 @@ class ResidualMatching {
   /// accesses, and clears the undo history.
   void rebuild(std::size_t next, const std::vector<std::size_t>& lasts);
 
+  /// The state rebuild(0, {}) reaches, copied from the bounds' root
+  /// matching instead of re-running Kuhn's algorithm.
+  void start_at_root();
+
   /// Assigns access next() to a register whose last access was
   /// `previous_last` (kNoAccess when the move opens a register).
   void assign(std::size_t previous_last);
@@ -176,6 +222,8 @@ class ResidualMatching {
   std::size_t size() const { return size_; }
 
  private:
+  friend class SuffixBounds;
+
   static constexpr std::uint32_t kFree = 0xffffffffu;
 
   /// One assign(): where its trail writes start, and what it changed.

@@ -27,9 +27,4 @@ bool intra_zero_cost(const ir::AccessSequence& seq, std::size_t p,
   return intra_transition_cost(seq, p, q, model) == 0;
 }
 
-bool wrap_zero_cost(const ir::AccessSequence& seq, std::size_t last,
-                    std::size_t first, const CostModel& model) {
-  return wrap_transition_cost(seq, last, first, model) == 0;
-}
-
 }  // namespace dspaddr::core

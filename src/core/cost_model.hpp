@@ -108,9 +108,4 @@ int wrap_transition_cost(const ir::AccessSequence& seq, std::size_t last,
 bool intra_zero_cost(const ir::AccessSequence& seq, std::size_t p,
                      std::size_t q, const CostModel& model);
 
-/// True iff the iteration-boundary transition last -> first is free
-/// (trivially true under kAcyclic).
-bool wrap_zero_cost(const ir::AccessSequence& seq, std::size_t last,
-                    std::size_t first, const CostModel& model);
-
 }  // namespace dspaddr::core

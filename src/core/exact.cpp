@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/bounds.hpp"
+#include "core/transposition_table.hpp"
 #include "core/validate.hpp"
 #include "runtime/steal_pool.hpp"
 #include "support/check.hpp"
@@ -39,8 +40,8 @@ constexpr std::size_t kMaxDominanceRegisters = 8;
 /// the same cost.
 constexpr std::size_t kDefaultStealGrain = 8;
 
-/// Fixed-size, allocation-free transposition key: the next access in
-/// words[0], then one (first << 32 | last) word per used register in
+/// Fixed-size key of the parallel path's shared table: the next access
+/// in words[0], then one (first << 32 | last) word per used register in
 /// register order (canonical under the fresh rule — firsts increase
 /// with the register index); unused slots hold an all-ones sentinel.
 /// 32-bit packing is exact for any sequence that fits in memory.
@@ -121,13 +122,12 @@ class SharedTable {
 /// assignment (and the authoritative cost guarding updates) live under
 /// the mutex. Everything else is read-only while searchers run.
 struct SearchContext {
-  SearchContext(const ir::AccessSequence& sequence, const CostModel& cost_model,
-                std::size_t register_count, const ExactOptions& opts)
-      : seq(sequence),
-        model(cost_model),
+  SearchContext(const SuffixBounds& costs, std::size_t register_count,
+                const ExactOptions& opts)
+      : seq(costs.sequence()),
         registers(register_count),
         options(opts),
-        bounds(sequence, cost_model),
+        bounds(costs),
         table_cap(opts.table_cap == 0 ? kDefaultTableCap : opts.table_cap),
         use_dominance(register_count <= kMaxDominanceRegisters),
         max_nodes(opts.max_nodes) {}
@@ -155,13 +155,13 @@ struct SearchContext {
   }
 
   const ir::AccessSequence& seq;
-  const CostModel& model;
   const std::size_t registers;
   const ExactOptions& options;
-  const SuffixBounds bounds;
+  /// The step costs and suffix bounds every cost the search reads comes
+  /// from (shared by the whole request when the allocator passes them).
+  const SuffixBounds& bounds;
   const std::size_t table_cap;
-  /// Off above kMaxDominanceRegisters, where the fixed-size state key
-  /// no longer fits.
+  /// Off above kMaxDominanceRegisters registers.
   const bool use_dominance;
 
   const std::uint64_t max_nodes;
@@ -217,18 +217,19 @@ void search_subtree(SearchContext& ctx, const std::vector<std::size_t>& prefix);
 /// last candidate move of a shallow frame is removed from the owner's
 /// range and republished as a pinned-prefix task, so the owner and the
 /// thief partition the tree exactly — no node is searched twice and
-/// none is lost. A sequential solve owns a private lock-free
-/// transposition table; parallel tasks share the context's striped
+/// none is lost. A sequential solve owns a private flat transposition
+/// table sized to its K; parallel tasks share the context's striped
 /// table, so nothing unsynchronized is written cross-task.
 class Searcher {
  public:
-  Searcher(SearchContext& ctx, std::size_t table_cap)
+  explicit Searcher(SearchContext& ctx)
       : ctx_(ctx),
         n_(ctx.seq.size()),
-        table_cap_(table_cap),
+        accesses_(ctx.seq.accesses().data()),
         use_bound_terms_(ctx.bounds.dense()),
         states_(ctx.registers),
-        assignment_(ctx.seq.size(), kUnassigned) {
+        assignment_(ctx.seq.size(), kUnassigned),
+        table_(ctx.registers, ctx.seq.size(), ctx.table_cap) {
     if (use_bound_terms_) matching_.emplace(ctx.bounds);
   }
 
@@ -328,27 +329,25 @@ class Searcher {
       assignment_[i] = prefix[i];
     }
     if (matching_) {
-      std::vector<std::size_t> lasts;
-      for (std::size_t r = 0; r < used_count_; ++r) {
-        lasts.push_back(states_[r].last);
+      if (prefix.empty()) {
+        matching_->start_at_root();
+      } else {
+        std::vector<std::size_t> lasts;
+        for (std::size_t r = 0; r < used_count_; ++r) {
+          lasts.push_back(states_[r].last);
+        }
+        matching_->rebuild(prefix.size(), lasts);
       }
-      matching_->rebuild(prefix.size(), lasts);
     }
     return cost;
   }
 
   int transition(std::size_t last, std::size_t next) const {
-    return intra_transition_cost(ctx_.seq, last, next, ctx_.model);
+    return ctx_.bounds.intra_cost(last, next);
   }
 
-  /// Wrap cost last -> first: the dense bound table when available
-  /// (one read), the cost model otherwise — identical values.
   std::uint8_t wrap_cost(std::size_t last, std::size_t first) const {
-    const int cost =
-        use_bound_terms_
-            ? ctx_.bounds.wrap_direct(last, first)
-            : wrap_transition_cost(ctx_.seq, last, first, ctx_.model);
-    return static_cast<std::uint8_t>(cost);
+    return static_cast<std::uint8_t>(ctx_.bounds.wrap_direct(last, first));
   }
 
   std::size_t horizon(std::size_t first) const {
@@ -375,6 +374,7 @@ class Searcher {
     return bound;
   }
 
+  /// The parallel path's key of the current state.
   StateKey state_key(std::size_t next) const {
     StateKey key;
     key.words.fill(~std::uint64_t{0});
@@ -391,25 +391,19 @@ class Searcher {
   /// already reached at no higher cost; records the new cost
   /// otherwise. Parallel tasks share one striped table (every
   /// sibling's states prune here too); a sequential solve keeps its
-  /// lock-free private table.
+  /// private flat table.
   bool dominated(std::size_t next, int cost) {
     if (!ctx_.use_dominance) return false;
-    const StateKey key = state_key(next);
     if (ctx_.shared_table != nullptr) {
-      return ctx_.shared_table->dominated(key, cost, local_cap_hits_);
+      return ctx_.shared_table->dominated(state_key(next), cost,
+                                          local_cap_hits_);
     }
-    const auto it = table_.find(key);
-    if (it != table_.end()) {
-      if (it->second <= cost) return true;
-      it->second = cost;
-      return false;
+    for (std::size_t r = 0; r < used_count_; ++r) {
+      ends_[2 * r] = states_[r].first;
+      ends_[2 * r + 1] = states_[r].last;
     }
-    if (table_.size() < table_cap_) {
-      table_.emplace(key, cost);
-    } else {
-      ++local_cap_hits_;
-    }
-    return false;
+    return table_.dominated(static_cast<std::uint32_t>(next), ends_.data(),
+                            used_count_, cost, local_cap_hits_);
   }
 
   /// Per-node accounting: the node cap is exact; the wall clock, the
@@ -497,8 +491,8 @@ class Searcher {
   /// endpoint accesses' (offset, stride), so value-identical first and
   /// last accesses make the subtrees isomorphic.
   bool equivalent_registers(std::size_t a, std::size_t b) const {
-    return ctx_.seq[states_[a].first] == ctx_.seq[states_[b].first] &&
-           ctx_.seq[states_[a].last] == ctx_.seq[states_[b].last];
+    return accesses_[states_[a].first] == accesses_[states_[b].first] &&
+           accesses_[states_[a].last] == accesses_[states_[b].last];
   }
 
   /// The visit steps of one node, in the same order (and with the same
@@ -526,11 +520,12 @@ class Searcher {
   /// 1, saturated below the fresh register's rank.
   std::uint32_t append_tie(std::size_t r, std::size_t next) const {
     if (!ctx_.nearest_first) return 0;
-    const std::optional<std::int64_t> distance =
-        ctx_.seq.intra_distance(states_[r].last, next);
-    if (!distance.has_value()) return kFreshTie - 1;
+    const ir::Access& from = accesses_[states_[r].last];
+    const ir::Access& to = accesses_[next];
+    if (from.stride != to.stride) return kFreshTie - 1;
     return static_cast<std::uint32_t>(std::min<std::uint64_t>(
-        static_cast<std::uint64_t>(std::llabs(*distance)), kFreshTie - 1));
+        static_cast<std::uint64_t>(std::llabs(to.offset - from.offset)),
+        kFreshTie - 1));
   }
 
   /// Generates the candidate moves of `next` into the arena and pushes
@@ -637,7 +632,9 @@ class Searcher {
 
   SearchContext& ctx_;
   const std::size_t n_;
-  const std::size_t table_cap_;
+  /// The sequence's accesses, for the symmetry test and phase 1's tie
+  /// order.
+  const ir::Access* accesses_;
   const bool use_bound_terms_;
 
   std::vector<RegisterState> states_;
@@ -648,7 +645,9 @@ class Searcher {
   std::vector<std::size_t> assignment_;
   std::vector<Frame> frames_;
   std::vector<Move> arena_;
-  Table table_;
+  TranspositionTable table_;
+  /// The (first, last) pairs of the used registers of a table lookup.
+  std::array<std::uint32_t, 2 * kMaxDominanceRegisters> ends_{};
 
   std::uint64_t local_nodes_ = 0;
   std::uint64_t flushed_total_ = 0;
@@ -665,7 +664,7 @@ void search_subtree(SearchContext& ctx,
     ctx.aborted.store(true, std::memory_order_relaxed);
     return;
   }
-  Searcher searcher(ctx, ctx.table_cap);
+  Searcher searcher(ctx);
   searcher.run(prefix);
 }
 
@@ -679,6 +678,7 @@ void seed_incumbent_with_greedy_sweep(SearchContext& ctx) {
     std::size_t last = 0;
   };
   const ir::AccessSequence& seq = ctx.seq;
+  const SuffixBounds& costs = ctx.bounds;
   const std::vector<std::size_t>& pinned = ctx.options.pinned_prefix;
   std::vector<SweepState> states(ctx.registers);
   std::vector<std::size_t> assignment(seq.size(), 0);
@@ -688,16 +688,12 @@ void seed_incumbent_with_greedy_sweep(SearchContext& ctx) {
     int best_step = std::numeric_limits<int>::max();
     if (i < pinned.size()) {
       best_r = pinned[i];
-      best_step = states[best_r].used
-                      ? intra_transition_cost(seq, states[best_r].last, i,
-                                              ctx.model)
-                      : 0;
+      best_step =
+          states[best_r].used ? costs.intra_cost(states[best_r].last, i) : 0;
     } else {
       for (std::size_t r = 0; r < ctx.registers; ++r) {
         const int step =
-            states[r].used
-                ? intra_transition_cost(seq, states[r].last, i, ctx.model)
-                : 0;
+            states[r].used ? costs.intra_cost(states[r].last, i) : 0;
         if (step < best_step) {
           best_step = step;
           best_r = r;
@@ -713,9 +709,7 @@ void seed_incumbent_with_greedy_sweep(SearchContext& ctx) {
     assignment[i] = best_r;
   }
   for (const SweepState& s : states) {
-    if (s.used) {
-      cost += wrap_transition_cost(seq, s.last, s.first, ctx.model);
-    }
+    if (s.used) cost += costs.wrap_direct(s.last, s.first);
   }
   // The greedy assignment is achievable (it respects the pin), so it
   // is a valid incumbent: the search then only records strictly better
@@ -759,7 +753,8 @@ void seed_incumbent_with_warm_start(SearchContext& ctx) {
               "exact_min_cost_allocation: warm start disagrees with the "
               "pinned prefix");
   }
-  const int cost = total_cost(seq, warm, ctx.model);
+  int cost = 0;
+  for (const Path& path : warm) cost += ctx.bounds.path_cost(path);
   if (cost >= ctx.best_cost.load(std::memory_order_relaxed)) return;
   ctx.best_cost.store(cost, std::memory_order_relaxed);
   ctx.best_assignment = std::move(assignment);
@@ -813,9 +808,9 @@ std::vector<Path> paths_of(const std::vector<std::size_t>& assignment,
   return paths;
 }
 
-ExactResult run_search(const ir::AccessSequence& seq, const CostModel& model,
-                       std::size_t registers, const ExactOptions& options) {
-  SearchContext ctx(seq, model, registers, options);
+ExactResult run_search(const SuffixBounds& costs, std::size_t registers,
+                       const ExactOptions& options) {
+  SearchContext ctx(costs, registers, options);
   seed_incumbent_with_greedy_sweep(ctx);
   seed_incumbent_with_warm_start(ctx);
 
@@ -833,7 +828,7 @@ ExactResult run_search(const ir::AccessSequence& seq, const CostModel& model,
       ctx.arm_deadline();
       const std::size_t jobs = std::max<std::size_t>(1, options.jobs);
       if (jobs == 1) {
-        Searcher searcher(ctx, ctx.table_cap);
+        Searcher searcher(ctx);
         searcher.run(options.pinned_prefix);
       } else {
         run_parallel(ctx, jobs, result);
@@ -858,6 +853,14 @@ ExactResult exact_min_cost_allocation(const ir::AccessSequence& seq,
                                       const CostModel& model,
                                       std::size_t registers,
                                       const ExactOptions& options) {
+  return exact_min_cost_allocation(SuffixBounds(seq, model), registers,
+                                   options);
+}
+
+ExactResult exact_min_cost_allocation(const SuffixBounds& costs,
+                                      std::size_t registers,
+                                      const ExactOptions& options) {
+  const ir::AccessSequence& seq = costs.sequence();
   check_arg(registers >= 1,
             "exact_min_cost_allocation: need at least one register");
   if (seq.empty()) {
@@ -885,7 +888,7 @@ ExactResult exact_min_cost_allocation(const ir::AccessSequence& seq,
     }
   }
 
-  ExactResult result = run_search(seq, model, effective, options);
+  ExactResult result = run_search(costs, effective, options);
   check_invariant(result.cost != std::numeric_limits<int>::max(),
                   "exact_min_cost_allocation: no assignment found");
   validate_allocation(seq, result.paths, registers);
@@ -895,6 +898,13 @@ ExactResult exact_min_cost_allocation(const ir::AccessSequence& seq,
 ZeroCostCover zero_cost_cover(const ir::AccessSequence& seq,
                               const CostModel& model, std::size_t registers,
                               std::uint64_t max_nodes) {
+  return zero_cost_cover(SuffixBounds(seq, model), registers, max_nodes);
+}
+
+ZeroCostCover zero_cost_cover(const SuffixBounds& costs,
+                              std::size_t registers,
+                              std::uint64_t max_nodes) {
+  const ir::AccessSequence& seq = costs.sequence();
   check_arg(registers >= 1, "zero_cost_cover: need at least one register");
   ZeroCostCover result;
   result.proven = true;
@@ -906,14 +916,14 @@ ZeroCostCover zero_cost_cover(const ir::AccessSequence& seq,
   const std::size_t effective = std::min(registers, seq.size());
   ExactOptions options;
   options.max_nodes = max_nodes;
-  SearchContext ctx(seq, model, effective, options);
+  SearchContext ctx(costs, effective, options);
   ctx.nearest_first = true;
   // An incumbent of cost 1 with no witness: the bound cuts every partial
   // assignment that would pay anything, and the first zero-cost leaf
   // (cost 0 < 1) is recorded and ends the search.
   ctx.best_cost.store(1, std::memory_order_relaxed);
-  if (ctx.bounds.root_lower_bound(effective) == 0) {
-    Searcher searcher(ctx, ctx.table_cap);
+  if (costs.root_lower_bound(effective) == 0) {
+    Searcher searcher(ctx);
     searcher.run({});
   }
 
@@ -923,7 +933,7 @@ ZeroCostCover zero_cost_cover(const ir::AccessSequence& seq,
   if (ctx.best_cost.load(std::memory_order_relaxed) == 0) {
     result.paths = paths_of(ctx.best_assignment, effective);
     validate_allocation(seq, *result.paths, registers);
-    check_invariant(total_cost(seq, *result.paths, model) == 0,
+    check_invariant(total_cost(seq, *result.paths, costs.model()) == 0,
                     "zero_cost_cover: the cover is not zero-cost");
   } else {
     result.proven = !ctx.aborted.load(std::memory_order_relaxed);

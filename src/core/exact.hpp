@@ -40,8 +40,10 @@
 //    earlier register's is skipped — the subtrees are isomorphic;
 //  * dominance pruning: a transposition table keyed on (next access,
 //    per-register first/last states) cuts any branch that reaches an
-//    already-seen state at no lower cost (off for K > 8, where the
-//    fixed-size state key no longer fits);
+//    already-seen state at no lower cost (off for K > 8). A sequential
+//    solve's table is a flat open-addressing array whose slots are
+//    sized to its K, with 16-bit index fields below 65,536 accesses and
+//    32-bit ones above (core/transposition_table.hpp);
 //  * move ordering: cheapest transition first, so good incumbents
 //    appear early and the incumbent bound bites sooner. Phase 1 breaks
 //    ties nearest endpoint first (fresh register last), so its covers
@@ -61,6 +63,10 @@
 // caller's warm start), honors node and wall-clock budgets, and on
 // abort returns the best incumbent with `proven == false` and the
 // optimality gap against the root lower bound.
+// Every step and wrap cost the search, its seeds and its bound read
+// comes from one SuffixBounds table (core/bounds.hpp). The allocator
+// builds it once per request and passes it to every phase-1 question
+// and the phase-2 solve; the overloads without one build their own.
 #pragma once
 
 #include <atomic>
@@ -73,6 +79,8 @@
 #include "ir/access_sequence.hpp"
 
 namespace dspaddr::core {
+
+class SuffixBounds;
 
 /// External cancellation for a search racing other work (the portfolio
 /// engine, engine/portfolio.hpp). Both pointers are optional and read
@@ -188,6 +196,12 @@ ExactResult exact_min_cost_allocation(const ir::AccessSequence& seq,
                                       std::size_t registers,
                                       const ExactOptions& options = {});
 
+/// The same solve of the table's sequence under the table's model,
+/// reading every cost from `costs` instead of building a table.
+ExactResult exact_min_cost_allocation(const SuffixBounds& costs,
+                                      std::size_t registers,
+                                      const ExactOptions& options = {});
+
 /// Answer of zero_cost_cover.
 struct ZeroCostCover {
   /// A zero-cost allocation onto at most the asked number of registers,
@@ -208,5 +222,10 @@ struct ZeroCostCover {
 ZeroCostCover zero_cost_cover(const ir::AccessSequence& seq,
                               const CostModel& model, std::size_t registers,
                               std::uint64_t max_nodes);
+
+/// The same question about the table's sequence under the table's
+/// model, asked on `costs`.
+ZeroCostCover zero_cost_cover(const SuffixBounds& costs,
+                              std::size_t registers, std::uint64_t max_nodes);
 
 }  // namespace dspaddr::core

@@ -4,6 +4,7 @@
 #include <queue>
 #include <tuple>
 
+#include "core/bounds.hpp"
 #include "support/check.hpp"
 
 namespace dspaddr::core {
@@ -32,13 +33,22 @@ namespace {
 /// slot b) so selection is deterministic.
 class CostGuidedMerger {
 public:
-  CostGuidedMerger(const ir::AccessSequence& seq, const CostModel& model,
-                   std::vector<Path> paths, bool use_delta, bool build_heap)
-      : seq_(seq), model_(model), use_delta_(use_delta),
-        heap_enabled_(build_heap) {
+  CostGuidedMerger(const SuffixBounds& costs, std::vector<Path> paths,
+                   bool use_delta, bool build_heap)
+      : costs_(costs), use_delta_(use_delta), heap_enabled_(build_heap) {
+    // Pairs are scored without building the merged path, so the
+    // indices are checked here, once, before the table is read
+    // unchecked.
+    std::vector<bool> covered(costs_.size(), false);
     slots_.reserve(paths.size());
     for (Path& p : paths) {
-      slot_cost_.push_back(path_cost(seq_, p, model_));
+      for (const std::size_t access : p.indices()) {
+        check_arg(access < covered.size() && !covered[access],
+                  "merge_to_register_limit: paths must be node-disjoint "
+                  "and index the sequence");
+        covered[access] = true;
+      }
+      slot_cost_.push_back(costs_.path_cost(p));
       slots_.push_back(std::move(p));
     }
     version_.assign(slots_.size(), 0);
@@ -76,8 +86,7 @@ public:
     check_arg(a != b && alive_[a] && alive_[b],
               "merge_pair: slots must be two live paths");
     if (a > b) std::swap(a, b);
-    const Path merged = merge(slots_[a], slots_[b]);
-    return execute(a, b, path_cost(seq_, merged, model_));
+    return execute(a, b, merged_cost(slots_[a], slots_[b]));
   }
 
   /// Slot ids of all live paths, ascending.
@@ -117,13 +126,33 @@ private:
     }
   };
 
+  /// C(a ⊕ b), walking the two index lists in sequence order without
+  /// building the merged path.
+  int merged_cost(const Path& a, const Path& b) const {
+    const std::vector<std::size_t>& x = a.indices();
+    const std::vector<std::size_t>& y = b.indices();
+    if (x.empty() && y.empty()) return 0;
+    std::size_t i = 0;
+    std::size_t j = 0;
+    const auto take = [&] {
+      return j == y.size() || (i < x.size() && x[i] < y[j]) ? x[i++] : y[j++];
+    };
+    const std::size_t first = take();
+    std::size_t last = first;
+    int cost = 0;
+    while (i < x.size() || j < y.size()) {
+      const std::size_t next = take();
+      cost += costs_.intra_cost(last, next);
+      last = next;
+    }
+    return cost + costs_.wrap_direct(last, first);
+  }
+
   void push_pair(std::size_t a, std::size_t b) {
-    const Path merged = merge(slots_[a], slots_[b]);
-    const int merged_cost = path_cost(seq_, merged, model_);
-    const int key = use_delta_
-                        ? merged_cost - slot_cost_[a] - slot_cost_[b]
-                        : merged_cost;
-    heap_.push(Entry{key, a, b, version_[a], version_[b], merged_cost});
+    const int merged = merged_cost(slots_[a], slots_[b]);
+    const int key =
+        use_delta_ ? merged - slot_cost_[a] - slot_cost_[b] : merged;
+    heap_.push(Entry{key, a, b, version_[a], version_[b], merged});
   }
 
   MergeStep execute(std::size_t a, std::size_t b, int merged_cost) {
@@ -150,8 +179,7 @@ private:
     return step;
   }
 
-  const ir::AccessSequence& seq_;
-  const CostModel& model_;
+  const SuffixBounds& costs_;
   const bool use_delta_;
   const bool heap_enabled_;
 
@@ -171,11 +199,22 @@ std::vector<Path> merge_to_register_limit(
     const MergeOptions& options, std::vector<MergeStep>* trace) {
   check_arg(register_limit >= 1, "merge_to_register_limit: need >= 1 register");
   if (paths.size() <= register_limit) return paths;
+  return merge_to_register_limit(SuffixBounds(seq, model), std::move(paths),
+                                 register_limit, options, trace);
+}
+
+std::vector<Path> merge_to_register_limit(const SuffixBounds& costs,
+                                          std::vector<Path> paths,
+                                          std::size_t register_limit,
+                                          const MergeOptions& options,
+                                          std::vector<MergeStep>* trace) {
+  check_arg(register_limit >= 1, "merge_to_register_limit: need >= 1 register");
+  if (paths.size() <= register_limit) return paths;
 
   const bool cost_guided =
       options.strategy == MergeStrategy::kMinMergedCost ||
       options.strategy == MergeStrategy::kMinDelta;
-  CostGuidedMerger merger(seq, model, std::move(paths),
+  CostGuidedMerger merger(costs, std::move(paths),
                           options.strategy == MergeStrategy::kMinDelta,
                           /*build_heap=*/cost_guided);
   support::Rng rng(options.seed);

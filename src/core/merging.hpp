@@ -18,6 +18,8 @@
 
 namespace dspaddr::core {
 
+class SuffixBounds;
+
 /// Pair-selection rule for one merge step.
 enum class MergeStrategy {
   /// The paper's rule: minimize C(P_i ⊕ P_j) over all pairs.
@@ -55,5 +57,13 @@ std::vector<Path> merge_to_register_limit(
     const ir::AccessSequence& seq, const CostModel& model,
     std::vector<Path> paths, std::size_t register_limit,
     const MergeOptions& options = {}, std::vector<MergeStep>* trace = nullptr);
+
+/// The same merging of paths over the table's sequence, scoring every
+/// pair from `costs` (core/bounds.hpp): C(P_i ⊕ P_j) is a walk over the
+/// two index lists, and only executed merges build a merged Path.
+std::vector<Path> merge_to_register_limit(
+    const SuffixBounds& costs, std::vector<Path> paths,
+    std::size_t register_limit, const MergeOptions& options = {},
+    std::vector<MergeStep>* trace = nullptr);
 
 }  // namespace dspaddr::core

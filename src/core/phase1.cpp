@@ -74,7 +74,7 @@ Phase1Result compute_min_register_cover(const AccessGraph& graph) {
     std::size_t registers = result.k_tilde.value_or(n + 1) - 1;
     while (registers >= result.lower_bound) {
       ZeroCostCover smaller =
-          zero_cost_cover(graph.sequence(), graph.model(), registers, budget);
+          zero_cost_cover(graph.costs(), registers, budget);
       result.search_nodes += smaller.nodes;
       budget -= smaller.nodes;
       if (!smaller.paths.has_value()) {

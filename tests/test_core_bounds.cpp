@@ -77,8 +77,9 @@ TEST_P(ResidualMatchingTest, StaysMaximumUnderRandomAssignAndUndo) {
   const auto [seq, model] = random_body(rng);
   const std::size_t n = seq.size();
   const SuffixBounds bounds(seq, model);
+  // The search's start: the root matching the table built once.
   ResidualMatching matching(bounds);
-  matching.rebuild(0, {});
+  matching.start_at_root();
   ASSERT_EQ(matching.size(), residual_matching_size(seq, model, 0, {}));
 
   // Register state of the simulated search: each open register's last
@@ -139,6 +140,53 @@ TEST_P(ResidualMatchingTest, RootBoundIsPhaseOnesMatchingBound) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, ResidualMatchingTest,
                          ::testing::Range<std::uint64_t>(0, 40));
+
+class StepCostTableTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(StepCostTableTest, EveryReadIsTheCostModels) {
+  // The table's rows, the graph built from them and path costs summed
+  // from them against the cost model, on dense and (for seed 0) sparse
+  // tables, under both wrap policies.
+  support::Rng rng(GetParam() * 4099 + 11);
+  auto [seq, model] = random_body(rng);
+  if (GetParam() == 0) {
+    std::vector<ir::Access> accesses = seq.accesses();
+    while (accesses.size() <= SuffixBounds::kDenseLimit) {
+      accesses.push_back(accesses[rng.index(accesses.size())]);
+    }
+    seq = AccessSequence(std::move(accesses));
+  }
+  if (rng.bernoulli(0.25)) model.wrap = WrapPolicy::kAcyclic;
+  const SuffixBounds costs(seq, model);
+  const AccessGraph graph(seq, model);
+  const std::size_t n = seq.size();
+  EXPECT_EQ(costs.dense(), n <= SuffixBounds::kDenseLimit);
+  for (std::size_t p = 0; p < n; ++p) {
+    for (std::size_t q = 0; q < n; ++q) {
+      const int wrap = wrap_transition_cost(seq, p, q, model);
+      ASSERT_EQ(costs.wrap_direct(p, q), wrap) << p << " -> " << q;
+      ASSERT_EQ(graph.wrap_edge(p, q), wrap == 0) << p << " -> " << q;
+      if (p >= q) continue;
+      const int intra = intra_transition_cost(seq, p, q, model);
+      ASSERT_EQ(costs.intra_cost(p, q), intra) << p << " -> " << q;
+      ASSERT_EQ(graph.intra().has_edge(static_cast<graph::NodeId>(p),
+                                       static_cast<graph::NodeId>(q)),
+                intra == 0)
+          << p << " -> " << q;
+    }
+  }
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<std::size_t> indices;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rng.bernoulli(0.3)) indices.push_back(i);
+    }
+    const Path path(std::move(indices));
+    EXPECT_EQ(costs.path_cost(path), path_cost(seq, path, model));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSeeds, StepCostTableTest,
+                         ::testing::Range<std::uint64_t>(0, 20));
 
 TEST(ResidualMatching, AppendingAlongTheMatchedEdgeNeedsNoRepair) {
   // 0 -> 1 -> 2 is one free chain (M = 1): the root matching pairs both

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/allocator.hpp"
+#include "core/transposition_table.hpp"
 #include "core/validate.hpp"
 #include "eval/patterns.hpp"
 #include "support/rng.hpp"
@@ -220,6 +221,105 @@ TEST(ExactAllocator, TableCapSaturationIsCountedWithoutChangingTheCost) {
   EXPECT_GT(capped.table_cap_hits, 0u);
   EXPECT_EQ(capped.cost, roomy.cost);
   EXPECT_GE(capped.nodes, roomy.nodes);
+}
+
+/// One seeded instance of the dominance-table pins below.
+struct TablePin {
+  std::uint64_t seed;
+  std::size_t accesses;
+  std::int64_t offset_range;
+  std::size_t registers;
+  std::size_t table_cap;
+  int cost;
+  std::uint64_t nodes;
+  std::uint64_t table_cap_hits;
+};
+
+TEST(ExactAllocator, DominanceTablePruningIsPinned) {
+  // Node counts and cap refusals of the sequential search, pinned at
+  // the unordered_map table the flat one replaced: a key collision, a
+  // missed revisit or a misplaced cap would move them. K = 9 runs with
+  // dominance off; table_cap = 4 saturates at once.
+  const TablePin pins[] = {
+      {201, 40, 10, 1, 0, 35, 34, 0},
+      {208, 32, 12, 2, 0, 19, 3'057, 0},
+      {203, 28, 10, 3, 0, 10, 16'793, 0},
+      {204, 30, 10, 4, 0, 10, 19'880, 0},
+      {212, 34, 24, 8, 0, 12, 3'011, 0},
+      {211, 26, 20, 9, 0, 4, 4'239, 0},
+      {207, 26, 10, 3, 4, 12, 27'233, 27'224},
+  };
+  for (const TablePin& pin : pins) {
+    support::Rng rng(pin.seed);
+    eval::PatternSpec spec;
+    spec.accesses = pin.accesses;
+    spec.offset_range = pin.offset_range;
+    const auto seq = eval::generate_pattern(spec, rng);
+    ExactOptions options;
+    options.table_cap = pin.table_cap;
+    const ExactResult r =
+        exact_min_cost_allocation(seq, kM1, pin.registers, options);
+    SCOPED_TRACE(::testing::Message() << "seed " << pin.seed << " K "
+                                      << pin.registers);
+    ASSERT_TRUE(r.proven);
+    EXPECT_EQ(r.cost, pin.cost);
+    EXPECT_EQ(r.nodes, pin.nodes);
+    EXPECT_EQ(r.table_cap_hits, pin.table_cap_hits);
+  }
+}
+
+TEST(TranspositionTable, KeysStayExactBeyondSixteenBitFields) {
+  // 70,000 accesses need 32-bit fields: two states whose indices agree
+  // in their low 16 bits are still different states.
+  TranspositionTable table(2, 70'000, 16);
+  std::uint64_t cap_hits = 0;
+  const std::uint32_t high = 1u << 16;
+  const std::uint32_t ends[] = {0, 5, 1, high + 5};
+  const std::uint32_t aliased[] = {0, high + 5, 1, 5};
+  EXPECT_FALSE(table.dominated(high + 6, ends, 2, 3, cap_hits));
+  EXPECT_FALSE(table.dominated(high + 6, aliased, 2, 3, cap_hits));
+  EXPECT_FALSE(table.dominated(6, ends, 2, 3, cap_hits));
+  EXPECT_EQ(table.size(), 3u);
+  EXPECT_TRUE(table.dominated(high + 6, ends, 2, 3, cap_hits));
+  EXPECT_TRUE(table.dominated(high + 6, aliased, 2, 4, cap_hits));
+  EXPECT_TRUE(table.dominated(6, ends, 2, 3, cap_hits));
+  EXPECT_EQ(cap_hits, 0u);
+}
+
+TEST(TranspositionTable, CheaperRevisitsLowerAndTheCapStopsInsertion) {
+  TranspositionTable table(3, 100, 2);
+  std::uint64_t cap_hits = 0;
+  const std::uint32_t one[] = {0, 4};
+  const std::uint32_t two[] = {0, 3, 4, 4};
+  EXPECT_FALSE(table.dominated(5, one, 1, 7, cap_hits));
+  EXPECT_TRUE(table.dominated(5, one, 1, 7, cap_hits));
+  EXPECT_FALSE(table.dominated(5, one, 1, 6, cap_hits));  // lowered
+  EXPECT_TRUE(table.dominated(5, one, 1, 6, cap_hits));
+  // The same (first, last) pairs with a different register count or
+  // next access are different states.
+  EXPECT_FALSE(table.dominated(5, two, 2, 9, cap_hits));
+  EXPECT_EQ(table.size(), 2u);
+  EXPECT_FALSE(table.dominated(6, one, 1, 0, cap_hits));  // refused
+  EXPECT_FALSE(table.dominated(6, one, 1, 0, cap_hits));  // refused again
+  EXPECT_EQ(cap_hits, 2u);
+  EXPECT_EQ(table.size(), 2u);
+  EXPECT_FALSE(table.dominated(5, two, 2, 8, cap_hits));  // still lowers
+  EXPECT_TRUE(table.dominated(5, two, 2, 8, cap_hits));
+  EXPECT_EQ(cap_hits, 2u);
+}
+
+TEST(TranspositionTable, GrowsPastItsFirstAllocationWithoutLosingStates) {
+  TranspositionTable table(2, 1'000, 1'000'000);
+  std::uint64_t cap_hits = 0;
+  for (std::uint32_t last = 0; last < 999; ++last) {
+    const std::uint32_t ends[] = {0, last, 1, last};
+    EXPECT_FALSE(table.dominated(last + 1, ends, 2, 5, cap_hits));
+  }
+  EXPECT_EQ(table.size(), 999u);
+  for (std::uint32_t last = 0; last < 999; ++last) {
+    const std::uint32_t ends[] = {0, last, 1, last};
+    EXPECT_TRUE(table.dominated(last + 1, ends, 2, 5, cap_hits));
+  }
 }
 
 TEST(ExactAllocator, PinnedPrefixIsHonoredAndCosted) {

@@ -36,6 +36,28 @@ TEST(Merging, RejectsZeroRegisters) {
       dspaddr::InvalidArgument);
 }
 
+TEST(Merging, RejectsOverlappingOrOutOfRangePaths) {
+  // Checked up front for every strategy: the cost-guided ones score
+  // pairs without building the merged path.
+  const auto seq = AccessSequence::from_offsets({0, 10, 20, 30});
+  for (const MergeStrategy strategy :
+       {MergeStrategy::kMinMergedCost, MergeStrategy::kMinDelta,
+        MergeStrategy::kFirstPair, MergeStrategy::kRandomPair}) {
+    MergeOptions options;
+    options.strategy = strategy;
+    EXPECT_THROW(merge_to_register_limit(
+                     seq, kM1, {Path({0, 1}), Path({1, 2}), Path({3})}, 1,
+                     options),
+                 dspaddr::InvalidArgument)
+        << to_string(strategy);
+    EXPECT_THROW(merge_to_register_limit(
+                     seq, kM1, {Path({0}), Path({1, 2}), Path({3, 4})}, 1,
+                     options),
+                 dspaddr::InvalidArgument)
+        << to_string(strategy);
+  }
+}
+
 TEST(Merging, MergesDownToExactlyK) {
   const auto seq = AccessSequence::from_offsets({0, 10, 20, 30, 40});
   std::vector<Path> paths;

@@ -3,11 +3,14 @@
 #
 # The CSV goldens pin the batch CSV schema and the default-path results;
 # the EngineParity tests diff freshly computed sweeps against them byte
-# for byte. t1_random_patterns.txt is the paper's T1 table and
+# for byte. t1_random_patterns.txt is the paper's T1 table,
 # solve_hard.jsonl the serve answers to the exact instances of
-# workloads/solve_hard.jsonl; CI's smoke job compares both byte for
-# byte. Rerun this script (and eyeball the git diff!) whenever the CSV
-# schema or the default pipeline's numbers intentionally change.
+# workloads/solve_hard.jsonl and compile_stream_head.jsonl the serve
+# answers to the first 200 requests of the benchmark's compile stream
+# (workloads/compile_stream_head.jsonl); CI's smoke job compares all
+# three byte for byte. Rerun this script (and eyeball the git diff!)
+# whenever the CSV schema or the default pipeline's numbers
+# intentionally change.
 #
 # usage: tools/update_goldens.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -67,6 +70,15 @@ done
 "$dspaddr" serve --jobs 1 --cache-capacity 0 \
   < "$repo/workloads/solve_hard.jsonl" \
   > "$repo/tests/golden/solve_hard.jsonl"
+
+# The first 200 requests of perfbench/workloads.py's compile_stream(1,
+# 1000): short bodies on every strategy and layout, two tiled long
+# bodies and four `strategy: auto` races. Machine files are relative
+# to the repository root.
+serve_binary="$(cd "$(dirname "$dspaddr")" && pwd)/dspaddr"
+(cd "$repo" && "$serve_binary" serve --jobs 1 --cache-capacity 0 \
+  < workloads/compile_stream_head.jsonl \
+  > tests/golden/compile_stream_head.jsonl)
 
 echo "regenerated:"
 git -C "$repo" --no-pager diff --stat -- tests/golden || true
