@@ -98,7 +98,8 @@ int command_run(const std::vector<std::string>& args, std::ostream& out) {
     // response. The run surface alone appends per-call "timings" —
     // serve responses never carry them, keeping the shared schema
     // byte-identical across surfaces and reruns.
-    support::JsonValue json = engine::result_to_json(report);
+    std::string line = engine::result_to_json_line(report);
+    line.pop_back();  // reopen the object for the run-only members
     support::JsonValue timings = support::JsonValue::object();
     support::JsonValue stage_ms = support::JsonValue::object();
     for (std::size_t i = 0; i < engine::kStageCount; ++i) {
@@ -111,12 +112,12 @@ int command_run(const std::vector<std::string>& args, std::ostream& out) {
                             report.cache_hit   ? "ram_hit"
                             : report.store_hit ? "store_hit"
                                                : "cold"));
-    json.set("timings", std::move(timings));
+    line += ",\"timings\":" + timings.dump();
     if (raced) {
-      json.set("portfolio",
-               portfolio_race_json(race, kernel.name(), machine.name));
+      line += ",\"portfolio\":" +
+              portfolio_race_json(race, kernel.name(), machine.name).dump();
     }
-    out << json.dump() << "\n";
+    out << line << "}\n";
     return report.ok() && report.verified ? 0 : 1;
   }
   if (!report.ok()) {
@@ -435,8 +436,8 @@ commands:
                                      small kernels; tiled = windowed
                                      exact solves, stitched)
               --phase2-jobs <n>      worker threads of the phase-2
-                                     search (default: 1; costs are
-                                     identical at any level)
+                                     search (default: 1, at most 64;
+                                     costs are identical at any level)
               --time-budget-ms <ms>  wall-clock cap of the exact search
                                      (default: 0 = node budget only)
               --jobs <n>             racers in flight when an axis is
@@ -482,8 +483,8 @@ commands:
               --phase2 <mode>        auto|exact|heuristic|tiled phase-2
                                      solver
               --phase2-jobs <n>      phase-2 search threads per row
-                                     (default: 1; cost columns never
-                                     depend on the level)
+                                     (default: 1, at most 64; cost
+                                     columns never depend on the level)
               --time-budget-ms <ms>  wall-clock cap of the exact search
               --format csv|table     output format (default: csv)
               --out <file>           write output to a file

@@ -57,6 +57,15 @@ std::size_t parse_size(const std::string& text, const std::string& flag,
   return static_cast<std::size_t>(value);
 }
 
+std::size_t parse_phase2_jobs(const std::string& text) {
+  const std::size_t jobs = parse_size(text, "--phase2-jobs", 1);
+  if (jobs > core::kMaxPhase2Jobs) {
+    throw UsageError("--phase2-jobs: value must be <= " +
+                     std::to_string(core::kMaxPhase2Jobs) + ", got " + text);
+  }
+  return jobs;
+}
+
 /// Recognizes `--flag value` and `--flag=value`; returns true and leaves
 /// the value in `value` when `arg` matches `flag`.
 bool match_flag(const std::string& arg, const std::string& flag,
@@ -226,7 +235,7 @@ RunOptions parse_run_options(const std::vector<std::string>& args) {
     } else if (match_flag(arg, "--phase2", cursor, value)) {
       options.phase2 = parse_phase2_mode(value);
     } else if (match_flag(arg, "--phase2-jobs", cursor, value)) {
-      options.phase2_jobs = parse_size(value, "--phase2-jobs", 1);
+      options.phase2_jobs = parse_phase2_jobs(value);
     } else if (match_flag(arg, "--phase2-window", cursor, value)) {
       if (value == "auto") {
         options.phase2_window_auto = true;
@@ -291,7 +300,7 @@ BatchOptions parse_batch_options(const std::vector<std::string>& args) {
     } else if (match_flag(arg, "--phase2", cursor, value)) {
       options.phase2 = parse_phase2_mode(value);
     } else if (match_flag(arg, "--phase2-jobs", cursor, value)) {
-      options.phase2_jobs = parse_size(value, "--phase2-jobs", 1);
+      options.phase2_jobs = parse_phase2_jobs(value);
     } else if (match_flag(arg, "--phase2-window", cursor, value)) {
       if (value == "auto") {
         options.phase2_window_auto = true;

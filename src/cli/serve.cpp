@@ -150,8 +150,11 @@ engine::Request request_from_json(const JsonValue& json,
   // Defaults to 1 (sequential): a jobs level changes only diagnostics,
   // never costs, but cached/batched responses must stay reproducible
   // unless a request opts in.
-  request.phase2.jobs =
-      static_cast<std::size_t>(int_field(json, "phase2_jobs", 1, 1));
+  const std::int64_t phase2_jobs = int_field(json, "phase2_jobs", 1, 1);
+  check_arg(phase2_jobs <= static_cast<std::int64_t>(core::kMaxPhase2Jobs),
+            "phase2_jobs: value must be <= " +
+                std::to_string(core::kMaxPhase2Jobs));
+  request.phase2.jobs = static_cast<std::size_t>(phase2_jobs);
   // "phase2_window": a width (>= 8) or the string "auto" — the same
   // surface as the CLI's --phase2-window.
   if (const JsonValue* window = json.find("phase2_window")) {

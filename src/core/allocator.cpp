@@ -164,9 +164,10 @@ Allocation RegisterAllocator::run(const ir::AccessSequence& seq) const {
     // anytime: at least as good as the heuristic, no global proof. Its
     // bound is then the whole-body one the exact search starts from:
     // phase 1's matching bound K~acyc minus K, floored at zero.
-    const int registers = static_cast<int>(config_.registers);
     const int whole_body_bound =
-        std::max(0, static_cast<int>(phase1.lower_bound) - registers);
+        phase1.lower_bound > config_.registers
+            ? static_cast<int>(phase1.lower_bound - config_.registers)
+            : 0;
     stats.phase2_exact = tiled.proven;
     stats.phase2_proven = tiled.proven;
     stats.phase2_nodes = tiled.nodes;

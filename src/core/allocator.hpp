@@ -27,6 +27,12 @@
 
 namespace dspaddr::core {
 
+/// The most phase-2 search threads a user may ask for (serve's
+/// "phase2_jobs", the CLI's --phase2-jobs): each starts one thread, so
+/// an unbounded request could exhaust the host. A fixed cap, so a
+/// request valid on one host is valid on every host.
+inline constexpr std::size_t kMaxPhase2Jobs = 64;
+
 /// Controls the phase-2 reduction to K physical registers.
 struct Phase2Options {
   enum class Mode {
@@ -57,6 +63,7 @@ struct Phase2Options {
   /// Worker threads of the phase-2 search (ExactOptions::jobs): 1 runs
   /// the exact sequential search, > 1 runs it on a work-stealing pool
   /// (runtime::StealPool). Proven costs are identical at any level.
+  /// Callers that take it from users cap it at kMaxPhase2Jobs.
   std::size_t jobs = 1;
   /// Window geometry of kTiled (TiledOptions).
   std::size_t tile_width = 20;

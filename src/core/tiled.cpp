@@ -57,6 +57,10 @@ TiledResult tiled_min_cost_allocation(const ir::AccessSequence& seq,
   }
 
   const std::size_t n = seq.size();
+  // At most n registers can hold an access, so K is clamped to n as the
+  // exact search clamps it: the stitcher's tables and its scan for a
+  // free register stay O(n) however large K is.
+  const std::size_t usable = std::min(registers, n);
   const std::size_t overlap = options.tile_overlap;
   // Auto-tuning bounds, clamped so every window keeps at least two
   // fresh accesses beyond the pinned overlap.
@@ -90,8 +94,8 @@ TiledResult tiled_min_cost_allocation(const ir::AccessSequence& seq,
       options.auto_width ? 0 : count_fixed_windows(n, width, overlap);
 
   std::vector<std::size_t> global_assignment(seq.size(), kUnassigned);
-  std::vector<bool> global_used(registers, false);
-  std::vector<std::size_t> global_last(registers, 0);
+  std::vector<bool> global_used(usable, false);
+  std::vector<std::size_t> global_last(usable, 0);
   const Clock::time_point sweep_start = Clock::now();
   // Measured search throughput (EMA over solved windows), used to
   // translate the next window's wall slice into affordable nodes.
@@ -167,7 +171,7 @@ TiledResult tiled_min_cost_allocation(const ir::AccessSequence& seq,
 
     const Clock::time_point solve_start = Clock::now();
     const ExactResult window_result = exact_min_cost_allocation(
-        sub_seq, window_model, registers, exact_options);
+        sub_seq, window_model, usable, exact_options);
     result.nodes += window_result.nodes;
     result.table_cap_hits += window_result.table_cap_hits;
     result.subtree_tasks += window_result.subtree_tasks;
@@ -200,7 +204,7 @@ TiledResult tiled_min_cost_allocation(const ir::AccessSequence& seq,
           begin + window_result.paths[local][0];
       int best_cost = std::numeric_limits<int>::max();
       std::size_t best_global = kUnassigned;
-      for (std::size_t g = 0; g < registers; ++g) {
+      for (std::size_t g = 0; g < usable; ++g) {
         if (std::find(local_to_global.begin(), local_to_global.end(), g) !=
             local_to_global.end()) {
           continue;
@@ -271,14 +275,14 @@ TiledResult tiled_min_cost_allocation(const ir::AccessSequence& seq,
     begin = end - (last_window ? 0 : overlap);
   }
 
-  std::vector<std::vector<std::size_t>> groups(registers);
+  std::vector<std::vector<std::size_t>> groups(usable);
   for (std::size_t i = 0; i < seq.size(); ++i) {
     groups[global_assignment[i]].push_back(i);
   }
   for (auto& group : groups) {
     if (!group.empty()) result.paths.emplace_back(std::move(group));
   }
-  validate_allocation(seq, result.paths, registers);
+  validate_allocation(seq, result.paths, usable);
   result.cost = total_cost(seq, result.paths, model);
   result.proven = single_window && result.windows_proven == 1;
   return result;

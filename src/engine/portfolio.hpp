@@ -27,7 +27,7 @@
 // (engine::request_feature_key — problem shape, not identity) of
 // historical winners, write-through persisted in the engine's result
 // store when one is attached (feature keys live under the "pf1|"
-// prefix, disjoint from the "v3|" fingerprints). A remembered winner
+// prefix, disjoint from the "v4|" fingerprints). A remembered winner
 // seeds the race order; once its win streak reaches `confidence`, the
 // hot path short-circuits to that single strategy, with a full re-race
 // every `rerace_interval` short-circuits to catch drift.

@@ -8,6 +8,11 @@
 namespace dspaddr::engine {
 namespace {
 
+using support::json_put_bool;
+using support::json_put_double;
+using support::json_put_int;
+using support::json_put_string;
+using support::json_put_uint;
 using support::JsonValue;
 
 JsonValue from_size(std::size_t value) {
@@ -18,173 +23,144 @@ JsonValue from_u64(std::uint64_t value) {
   return JsonValue::number(static_cast<std::int64_t>(value));
 }
 
-JsonValue kernel_summary(const ir::Kernel& kernel) {
-  JsonValue json = JsonValue::object();
-  json.set("name", JsonValue::string(kernel.name()));
-  json.set("arrays", from_size(kernel.arrays().size()));
-  json.set("accesses", from_size(kernel.accesses().size()));
-  json.set("iterations", JsonValue::number(kernel.iterations()));
-  json.set("data_ops", JsonValue::number(kernel.data_ops()));
-  return json;
-}
-
-JsonValue machine_summary(const agu::AguSpec& machine) {
-  // The full declarative spec: round-trips through
-  // agu::machine_from_json and still carries the flat
-  // registers/modify_registers/modify_range summary older consumers
-  // read.
-  return agu::machine_to_json(machine);
-}
-
-JsonValue allocate_stage(const Result& result) {
-  JsonValue json = JsonValue::object();
-  json.set("k_tilde", result.k_tilde.has_value()
-                          ? from_size(*result.k_tilde)
-                          : JsonValue::null());
-  json.set("cost", JsonValue::number(
-                       static_cast<std::int64_t>(result.allocation_cost)));
-  json.set("intra_cost",
-           JsonValue::number(static_cast<std::int64_t>(result.intra_cost)));
-  json.set("wrap_cost",
-           JsonValue::number(static_cast<std::int64_t>(result.wrap_cost)));
-  json.set("phase1_exact", JsonValue::boolean(result.stats.phase1_exact));
-  json.set("merges", from_size(result.stats.merges));
-  JsonValue phase2 = JsonValue::object();
-  phase2.set("exact", JsonValue::boolean(result.stats.phase2_exact));
-  phase2.set("proven", JsonValue::boolean(result.stats.phase2_proven));
-  phase2.set("gap", JsonValue::number(
-                        static_cast<std::int64_t>(result.stats.phase2_gap)));
-  phase2.set("lower_bound",
-             JsonValue::number(static_cast<std::int64_t>(
-                 result.stats.phase2_lower_bound)));
-  phase2.set("nodes", from_u64(result.stats.phase2_nodes));
-  phase2.set("table_cap_hits", from_u64(result.stats.phase2_table_cap_hits));
-  phase2.set("subtree_tasks", from_u64(result.stats.phase2_subtree_tasks));
-  // Like subtree_tasks and node counts, the work-stealing counters are
-  // schedule-dependent at phase2_jobs > 1 (and exactly 0 at jobs == 1);
-  // the cost/proof fields above never vary with jobs.
-  phase2.set("steals", from_u64(result.stats.phase2_steals));
-  phase2.set("steal_attempts",
-             from_u64(result.stats.phase2_steal_attempts));
-  phase2.set("splits", from_u64(result.stats.phase2_splits));
-  phase2.set("windows", from_size(result.stats.phase2_windows));
-  phase2.set("windows_proven",
-             from_size(result.stats.phase2_windows_proven));
-  JsonValue widths = JsonValue::array();
-  for (const std::size_t width : result.stats.phase2_window_widths) {
-    widths.push_back(from_size(width));
-  }
-  phase2.set("window_widths", std::move(widths));
-  // phase2_nodes_per_sec (and the worker busy time behind the bench's
-  // idle fraction) is wall-clock derived and deliberately NOT
-  // serialized: responses stay byte-identical across reruns and jobs
-  // levels (modulo the documented node-count variance).
-  json.set("phase2", std::move(phase2));
-  return json;
-}
-
-JsonValue plan_stage(const Result& result) {
-  JsonValue json = JsonValue::object();
-  JsonValue values = JsonValue::array();
-  for (const core::ModifyRegister& mr : result.plan.values) {
-    JsonValue entry = JsonValue::object();
-    entry.set("value", JsonValue::number(mr.value));
-    entry.set("covered",
-              JsonValue::number(static_cast<std::int64_t>(mr.covered)));
-    values.push_back(std::move(entry));
-  }
-  json.set("modify_registers", std::move(values));
-  json.set("covered_per_iteration",
-           JsonValue::number(static_cast<std::int64_t>(
-               result.plan.covered_per_iteration)));
-  json.set("residual_cost",
-           JsonValue::number(
-               static_cast<std::int64_t>(result.plan.residual_cost)));
-  return json;
-}
-
-JsonValue codegen_stage(const Result& result) {
-  JsonValue json = JsonValue::object();
-  json.set("setup_instructions", from_size(result.program.setup.size()));
-  json.set("body_instructions", from_size(result.program.body.size()));
-  json.set("setup_address_words",
-           from_size(result.program.setup_address_words()));
-  json.set("body_address_words",
-           from_size(result.program.body_address_words()));
-  return json;
-}
-
-JsonValue simulate_stage(const Result& result) {
-  JsonValue json = JsonValue::object();
-  json.set("iterations", from_u64(result.iterations));
-  json.set("verified", JsonValue::boolean(result.verified));
-  if (!result.sim.failure.empty()) {
-    json.set("failure", JsonValue::string(result.sim.failure));
-  }
-  json.set("accesses_executed", from_u64(result.sim.accesses_executed));
-  json.set("extra_instructions", from_u64(result.sim.extra_instructions));
-  json.set("address_cycles", from_u64(result.sim.address_cycles));
-  return json;
-}
-
-JsonValue metrics_stage(const Result& result) {
-  JsonValue json = JsonValue::object();
-  json.set("baseline_size_words",
-           JsonValue::number(result.baseline_size_words));
-  json.set("optimized_size_words",
-           JsonValue::number(result.optimized_size_words));
-  json.set("baseline_cycles", JsonValue::number(result.baseline_cycles));
-  json.set("optimized_cycles", JsonValue::number(result.optimized_cycles));
-  json.set("size_reduction_percent",
-           JsonValue::number(result.size_reduction_percent));
-  json.set("speed_reduction_percent",
-           JsonValue::number(result.speed_reduction_percent));
-  return json;
+void append_kernel(std::string& out, const ir::Kernel& kernel) {
+  json_put_string(out, "{\"name\":", kernel.name());
+  json_put_uint(out, ",\"arrays\":", kernel.arrays().size());
+  json_put_uint(out, ",\"accesses\":", kernel.accesses().size());
+  json_put_int(out, ",\"iterations\":", kernel.iterations());
+  json_put_int(out, ",\"data_ops\":", kernel.data_ops());
+  out += '}';
 }
 
 }  // namespace
 
-support::JsonValue result_to_json(const Result& result) {
-  JsonValue json = JsonValue::object();
-  json.set("kernel", kernel_summary(result.kernel));
-  json.set("machine", machine_summary(result.machine));
-  json.set("layout", JsonValue::string(result.layout));
-  json.set("strategy", JsonValue::string(result.strategy));
-  json.set("stop_after", JsonValue::string(stage_name(result.stop_after)));
+void append_result_members(std::string& out, const Result& result) {
+  json_put_string(out, "\"layout\":", result.layout);
+  json_put_string(out, ",\"strategy\":", result.strategy);
+  json_put_string(out, ",\"stop_after\":", stage_name(result.stop_after));
   if (result.error.has_value()) {
-    JsonValue error = JsonValue::object();
-    error.set("stage", JsonValue::string(stage_name(result.error->stage)));
-    error.set("message", JsonValue::string(result.error->message));
-    json.set("error", std::move(error));
+    json_put_string(out, ",\"error\":{\"stage\":",
+                    stage_name(result.error->stage));
+    json_put_string(out, ",\"message\":", result.error->message);
+    out += '}';
   }
-  JsonValue stages = JsonValue::object();
+  // Completed stages form a prefix that starts at lower, so every stage
+  // after it opens with a separator.
+  out += ",\"stages\":{";
   if (result.stage_done(Stage::kLower)) {
-    JsonValue lower = JsonValue::object();
-    lower.set("accesses", from_size(result.accesses));
-    lower.set("layout_extent", JsonValue::number(result.layout_extent));
-    stages.set("lower", std::move(lower));
+    json_put_uint(out, "\"lower\":{\"accesses\":", result.accesses);
+    json_put_int(out, ",\"layout_extent\":", result.layout_extent);
+    out += '}';
   }
   if (result.stage_done(Stage::kAllocate)) {
-    stages.set("allocate", allocate_stage(result));
+    const core::AllocationStats& stats = result.stats;
+    out += ",\"allocate\":{\"k_tilde\":";
+    if (result.k_tilde.has_value()) {
+      json_put_uint(out, "", *result.k_tilde);
+    } else {
+      out += "null";
+    }
+    json_put_int(out, ",\"cost\":", result.allocation_cost);
+    json_put_int(out, ",\"intra_cost\":", result.intra_cost);
+    json_put_int(out, ",\"wrap_cost\":", result.wrap_cost);
+    json_put_bool(out, ",\"phase1_exact\":", stats.phase1_exact);
+    json_put_uint(out, ",\"merges\":", stats.merges);
+    json_put_bool(out, ",\"phase2\":{\"exact\":", stats.phase2_exact);
+    json_put_bool(out, ",\"proven\":", stats.phase2_proven);
+    json_put_int(out, ",\"gap\":", stats.phase2_gap);
+    json_put_int(out, ",\"lower_bound\":", stats.phase2_lower_bound);
+    json_put_uint(out, ",\"nodes\":", stats.phase2_nodes);
+    json_put_uint(out, ",\"table_cap_hits\":", stats.phase2_table_cap_hits);
+    json_put_uint(out, ",\"subtree_tasks\":", stats.phase2_subtree_tasks);
+    // Like subtree_tasks and node counts, the work-stealing counters are
+    // schedule-dependent at phase2_jobs > 1 (and exactly 0 at jobs == 1);
+    // the cost/proof fields above never vary with jobs.
+    json_put_uint(out, ",\"steals\":", stats.phase2_steals);
+    json_put_uint(out, ",\"steal_attempts\":", stats.phase2_steal_attempts);
+    json_put_uint(out, ",\"splits\":", stats.phase2_splits);
+    json_put_uint(out, ",\"windows\":", stats.phase2_windows);
+    json_put_uint(out, ",\"windows_proven\":", stats.phase2_windows_proven);
+    out += ",\"window_widths\":[";
+    for (std::size_t i = 0; i < stats.phase2_window_widths.size(); ++i) {
+      json_put_uint(out, i == 0 ? "" : ",", stats.phase2_window_widths[i]);
+    }
+    // phase2_nodes_per_sec (and the worker busy time behind the bench's
+    // idle fraction) is wall-clock derived and deliberately NOT
+    // serialized: responses stay byte-identical across reruns and jobs
+    // levels (modulo the documented node-count variance).
+    out += "]}}";
   }
   if (result.stage_done(Stage::kPlan)) {
-    stages.set("plan", plan_stage(result));
+    out += ",\"plan\":{\"modify_registers\":[";
+    for (std::size_t i = 0; i < result.plan.values.size(); ++i) {
+      const core::ModifyRegister& mr = result.plan.values[i];
+      json_put_int(out, i == 0 ? "{\"value\":" : ",{\"value\":", mr.value);
+      json_put_int(out, ",\"covered\":", mr.covered);
+      out += '}';
+    }
+    json_put_int(out, "],\"covered_per_iteration\":",
+                 result.plan.covered_per_iteration);
+    json_put_int(out, ",\"residual_cost\":", result.plan.residual_cost);
+    out += '}';
   }
   if (result.stage_done(Stage::kCodegen)) {
-    stages.set("codegen", codegen_stage(result));
+    const agu::Program& program = result.program;
+    json_put_uint(out, ",\"codegen\":{\"setup_instructions\":",
+                  program.setup.size());
+    json_put_uint(out, ",\"body_instructions\":", program.body.size());
+    json_put_uint(out, ",\"setup_address_words\":",
+                  program.setup_address_words());
+    json_put_uint(out, ",\"body_address_words\":",
+                  program.body_address_words());
+    out += '}';
   }
   if (result.stage_done(Stage::kSimulate)) {
-    stages.set("simulate", simulate_stage(result));
+    const agu::SimResult& sim = result.sim;
+    json_put_uint(out, ",\"simulate\":{\"iterations\":", result.iterations);
+    json_put_bool(out, ",\"verified\":", result.verified);
+    if (!sim.failure.empty()) {
+      json_put_string(out, ",\"failure\":", sim.failure);
+    }
+    json_put_uint(out, ",\"accesses_executed\":", sim.accesses_executed);
+    json_put_uint(out, ",\"extra_instructions\":", sim.extra_instructions);
+    json_put_uint(out, ",\"address_cycles\":", sim.address_cycles);
+    out += '}';
   }
   if (result.stage_done(Stage::kMetrics)) {
-    stages.set("metrics", metrics_stage(result));
+    json_put_int(out, ",\"metrics\":{\"baseline_size_words\":",
+                 result.baseline_size_words);
+    json_put_int(out, ",\"optimized_size_words\":",
+                 result.optimized_size_words);
+    json_put_int(out, ",\"baseline_cycles\":", result.baseline_cycles);
+    json_put_int(out, ",\"optimized_cycles\":", result.optimized_cycles);
+    json_put_double(out, ",\"size_reduction_percent\":",
+                    result.size_reduction_percent);
+    json_put_double(out, ",\"speed_reduction_percent\":",
+                    result.speed_reduction_percent);
+    out += '}';
   }
-  json.set("stages", std::move(stages));
-  return json;
+  out += '}';
 }
 
 std::string result_to_json_line(const Result& result) {
-  return result_to_json(result).dump();
+  std::string out;
+  out.reserve(2048);
+  out += "{\"kernel\":";
+  append_kernel(out, result.kernel);
+  // The full declarative spec: round-trips through
+  // agu::machine_from_json and still carries the flat
+  // registers/modify_registers/modify_range summary older consumers
+  // read.
+  out += ",\"machine\":";
+  out += agu::machine_to_json(result.machine).dump();
+  out += ',';
+  append_result_members(out, result);
+  out += '}';
+  return out;
+}
+
+support::JsonValue result_to_json(const Result& result) {
+  return JsonValue::parse(result_to_json_line(result));
 }
 
 support::JsonValue cache_stats_to_json(const CacheStats& stats) {

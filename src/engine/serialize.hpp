@@ -1,11 +1,16 @@
 // JSON serialization of engine results and requests.
 //
-// One schema backs both machine-readable surfaces: `dspaddr run
+// One schema backs every machine-readable surface: `dspaddr run
 // --format=json` emits exactly the object a `dspaddr serve` response
-// carries (serve adds an optional "id" echo). The serialization is
-// deterministic — member order is fixed and per-call data (cache_hit,
-// wall times) is deliberately excluded, so identical requests always
-// produce byte-identical lines; the serve CI smoke depends on this.
+// carries (serve adds an optional "id" echo, run appends "timings" and,
+// for a race, "portfolio"), and the persistent store's record
+// (engine/result_codec.hpp) holds the same members after "machine".
+// One writer produces them all: append_result_members appends a
+// Result's members straight to a string, with no JsonValue tree. The
+// serialization is deterministic — member order is fixed and per-call
+// data (cache_hit, wall times) is deliberately excluded, so identical
+// requests always produce byte-identical lines; the serve CI smoke
+// depends on this.
 //
 // Schema (stages appear only when they ran; `error` only on failure):
 //   {"kernel": {"name", "arrays", "accesses", "iterations", "data_ops"},
@@ -23,8 +28,9 @@
 //                   "phase1_exact", "merges",
 //                   "phase2": {"exact", "proven", "gap", "lower_bound",
 //                              "nodes", "table_cap_hits",
-//                              "subtree_tasks", "windows",
-//                              "windows_proven"}},
+//                              "subtree_tasks", "steals",
+//                              "steal_attempts", "splits", "windows",
+//                              "windows_proven", "window_widths"}},
 //      "plan":     {"modify_registers": [{"value", "covered"}, ...],
 //                   "covered_per_iteration", "residual_cost"},
 //      "codegen":  {"setup_instructions", "body_instructions",
@@ -47,7 +53,20 @@
 
 namespace dspaddr::engine {
 
-/// The result as a JSON object (see the schema above).
+/// Appends `result`'s members after "machine" — "layout", "strategy",
+/// "stop_after", the optional "error" and "stages" with one member per
+/// completed stage — separated by commas, without enclosing braces.
+/// The only writer of a Result: result_to_json_line wraps these members
+/// in the kernel and machine, encode_result in the record version and
+/// its "detail".
+void append_result_members(std::string& out, const Result& result);
+
+/// The one-line response (see the schema above, no trailing newline):
+/// {"kernel":…,"machine":…, then append_result_members, then }.
+std::string result_to_json_line(const Result& result);
+
+/// result_to_json_line parsed back into a tree, for callers that want
+/// to walk the response.
 support::JsonValue result_to_json(const Result& result);
 
 /// The cache counters as a JSON object — the serve `{"stats":true}`
@@ -91,9 +110,6 @@ std::string metrics_report_csv(const obs::RegistrySnapshot& snapshot,
 /// implementation of every surface's --metrics-csv flag. Throws Error
 /// when the file cannot be written.
 void write_metrics_csv(const std::string& path, const Engine& engine);
-
-/// Compact one-line rendering of result_to_json (no trailing newline).
-std::string result_to_json_line(const Result& result);
 
 /// Parses an inline kernel object:
 ///   {"name"?, "description"?, "iterations"?, "data_ops"?,

@@ -103,9 +103,9 @@ private:
 };
 
 // Append primitives: dump() is built from these, and writers that know
-// their schema (engine/result_codec.cpp) call them directly instead of
-// building a tree only to dump it. Each produces exactly the bytes
-// dump() writes for the same value.
+// their schema (engine/serialize.cpp, engine/result_codec.cpp) call
+// them directly instead of building a tree only to dump it. Each
+// produces exactly the bytes dump() writes for the same value.
 
 /// Appends `text` as a quoted JSON string, escaped per RFC 8259:
 /// quote, backslash, \b \f \n \r \t, other control characters as
@@ -119,5 +119,38 @@ void json_append_int(std::string& out, std::int64_t value);
 /// to exactly `value`, with ".0" added when that text would read back
 /// as an integer; null for a non-finite value (JSON has none).
 void json_append_double(std::string& out, double value);
+
+// Member writers on top of them: each appends `prefix` verbatim (the
+// separator, the member's quoted name and its colon, plus any opening
+// braces) and then the value. Unsigned values are written as int64,
+// the way JsonValue::number stores them.
+
+inline void json_put_int(std::string& out, const char* prefix,
+                         std::int64_t value) {
+  out += prefix;
+  json_append_int(out, value);
+}
+
+inline void json_put_uint(std::string& out, const char* prefix,
+                          std::uint64_t value) {
+  json_put_int(out, prefix, static_cast<std::int64_t>(value));
+}
+
+inline void json_put_bool(std::string& out, const char* prefix, bool value) {
+  out += prefix;
+  out += value ? "true" : "false";
+}
+
+inline void json_put_double(std::string& out, const char* prefix,
+                            double value) {
+  out += prefix;
+  json_append_double(out, value);
+}
+
+inline void json_put_string(std::string& out, const char* prefix,
+                            std::string_view value) {
+  out += prefix;
+  json_append_string(out, value);
+}
 
 }  // namespace dspaddr::support

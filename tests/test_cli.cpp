@@ -138,6 +138,16 @@ TEST(CliOptions, Phase2JobsAndTiledFlags) {
   EXPECT_THROW(
       cli::parse_batch_options({"--builtin", "fir", "--phase2-jobs=0"}),
       cli::UsageError);
+  // Each level starts that many threads: capped at a fixed 64.
+  EXPECT_EQ(cli::parse_run_options({"--kernel", "f.c", "--phase2-jobs", "64"})
+                .phase2_jobs,
+            64u);
+  EXPECT_THROW(
+      cli::parse_run_options({"--kernel", "f.c", "--phase2-jobs", "65"}),
+      cli::UsageError);
+  EXPECT_THROW(
+      cli::parse_batch_options({"--builtin", "fir", "--phase2-jobs=1000000"}),
+      cli::UsageError);
 }
 
 TEST(CliOptions, StealGrainAndWindowFlags) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -127,6 +128,36 @@ TEST(Tiled, MultiWindowAnswerStatesTheWholeBodyBound) {
   EXPECT_GT(stats.phase2_lower_bound, 0);
   EXPECT_LE(stats.phase2_lower_bound, exact.cost);
   EXPECT_EQ(stats.phase2_gap, tiled.cost() - stats.phase2_lower_bound);
+}
+
+TEST(Tiled, RegisterCountIsClampedToTheSequenceLength) {
+  // No allocation uses more registers than accesses, so any K >= N
+  // answers like K = N, and a huge K costs no O(K) tables or scans.
+  const AccessSequence seq = pattern(40, 41);
+  TiledOptions options;
+  options.tile_width = 12;
+  const TiledResult at_n =
+      tiled_min_cost_allocation(seq, kM1, seq.size(), options);
+  const TiledResult at_max = tiled_min_cost_allocation(
+      seq, kM1, std::numeric_limits<std::size_t>::max(), options);
+  ASSERT_GT(at_n.windows, 1u);
+  EXPECT_EQ(at_max.paths, at_n.paths);
+  EXPECT_EQ(at_max.cost, at_n.cost);
+  EXPECT_EQ(at_max.nodes, at_n.nodes);
+}
+
+TEST(Tiled, WholeBodyBoundDoesNotNarrowALargeRegisterCount) {
+  // K = 2^32 + 1 would read as K = 1 if narrowed to int; at K >= N the
+  // whole-body bound is 0.
+  const AccessSequence seq = stencil_prefix(56);
+  ProblemConfig config;
+  config.modify_range = 1;
+  config.registers = (std::size_t{1} << 32) + 1;
+  config.phase2.mode = Phase2Options::Mode::kTiled;
+  config.phase2.tile_width = 12;
+  const Allocation tiled = RegisterAllocator(config).run(seq);
+  EXPECT_EQ(tiled.stats().phase2_lower_bound, 0);
+  EXPECT_EQ(tiled.stats().phase2_gap, tiled.cost());
 }
 
 TEST(Tiled, ParallelWindowsMatchSequentialWhenProven) {

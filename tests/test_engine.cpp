@@ -495,6 +495,27 @@ TEST(EngineSerialize, JsonOmitsStagesAfterStopOrError) {
   EXPECT_EQ(failed.find("stages")->find("allocate"), nullptr);
 }
 
+TEST(EngineSerialize, StageErrorLineIsPinnedByteForByte) {
+  // Serve validates every request before the pipeline runs, so no serve
+  // golden carries a stage error; this pins the shape here: the error
+  // member after stop_after, and only the stages before it.
+  engine::Engine engine;
+  engine::Request broken = fir_request();
+  broken.machine.set_address_registers(0);
+  EXPECT_EQ(
+      engine::result_to_json_line(engine.run(broken)),
+      R"({"kernel":{"name":"fir","arrays":2,"accesses":2,"iterations":16,)"
+      R"("data_ops":1},"machine":{"name":"wide4","description":"AGU with )"
+      R"(short-immediate modify (|d| <= 2), 4 address registers","classes":)"
+      R"([{"name":"ar","kind":"address","count":0}],"modify_lo":-2,)"
+      R"("modify_hi":2,"inc":[],"dec":[],"addressing":"post","registers":0,)"
+      R"("modify_registers":0,"modify_range":2},"layout":"contiguous",)"
+      R"("strategy":"two-phase","stop_after":"metrics","error":{"stage":)"
+      R"("allocate","message":"RegisterAllocator: need at least one )"
+      R"(address register"},"stages":{"lower":{"accesses":2,)"
+      R"("layout_extent":80}}})");
+}
+
 TEST(EngineSerialize, KernelFromJsonRoundTrips) {
   const support::JsonValue json = support::JsonValue::parse(R"({
     "name": "tiny", "iterations": 4, "data_ops": 2,

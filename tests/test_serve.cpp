@@ -306,6 +306,26 @@ TEST(Serve, RejectsOutOfRangeOverrides) {
   }
 }
 
+TEST(Serve, RejectsPhase2JobsAboveTheCap) {
+  // Every phase-2 job is a thread, so the field is capped at a fixed
+  // 64. The request stops after lower: it is rejected while it is
+  // parsed, and no solve ever sees the value.
+  const std::vector<std::string> lines = serve_lines(
+      "{\"id\":1,\"builtin\":\"fir\",\"phase2_jobs\":1000000,"
+      "\"stop_after\":\"lower\"}\n"
+      "{\"id\":2,\"builtin\":\"fir\",\"phase2_jobs\":65,"
+      "\"stop_after\":\"lower\"}\n");
+  ASSERT_EQ(lines.size(), 2u);
+  for (const std::string& line : lines) {
+    const JsonValue response = JsonValue::parse(line);
+    const JsonValue* error = response.find("error");
+    ASSERT_NE(error, nullptr) << line;
+    EXPECT_EQ(error->find("stage")->as_string(), "request");
+    EXPECT_NE(error->find("message")->as_string().find("phase2_jobs"),
+              std::string::npos);
+  }
+}
+
 TEST(Serve, HugeKernelIterationsAreFineForPipelinePrefixes) {
   // The cap guards the simulate stage only; an allocation-only request
   // on the same kernel is cheap and must go through.

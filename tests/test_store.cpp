@@ -425,7 +425,7 @@ engine::Request fir_request() {
   return request;
 }
 
-/// The exact key the engine stores `request` under: fingerprint v3 of
+/// The exact key the engine stores `request` under: fingerprint v4 of
 /// the lowered sequence (replicates the engine's lower step).
 std::string engine_key(const engine::Request& request) {
   const engine::LayoutStrategy* layout_strategy =
@@ -626,18 +626,186 @@ TEST(StoreCodec, PrefixAndErroredResultsRoundTrip) {
             engine::result_to_json_line(errored));
 }
 
+/// Every field the codec persists is equal in `decoded` and `original`.
+void expect_persisted_fields_equal(const engine::Result& decoded,
+                                   const engine::Result& original) {
+  EXPECT_EQ(decoded.stop_after, original.stop_after);
+  EXPECT_EQ(decoded.layout, original.layout);
+  EXPECT_EQ(decoded.strategy, original.strategy);
+  ASSERT_EQ(decoded.error.has_value(), original.error.has_value());
+  if (original.error.has_value()) {
+    EXPECT_EQ(decoded.error->stage, original.error->stage);
+    EXPECT_EQ(decoded.error->message, original.error->message);
+  }
+  EXPECT_EQ(decoded.accesses, original.accesses);
+  EXPECT_EQ(decoded.layout_extent, original.layout_extent);
+
+  EXPECT_EQ(decoded.k_tilde, original.k_tilde);
+  const core::AllocationStats& got = decoded.stats;
+  const core::AllocationStats& want = original.stats;
+  EXPECT_EQ(got.k_tilde, want.k_tilde);
+  EXPECT_EQ(got.lower_bound, want.lower_bound);
+  EXPECT_EQ(got.upper_bound, want.upper_bound);
+  EXPECT_EQ(got.phase1_exact, want.phase1_exact);
+  EXPECT_EQ(got.search_nodes, want.search_nodes);
+  EXPECT_EQ(got.merges, want.merges);
+  EXPECT_EQ(got.phase2_exact, want.phase2_exact);
+  EXPECT_EQ(got.phase2_proven, want.phase2_proven);
+  EXPECT_EQ(got.phase2_nodes, want.phase2_nodes);
+  EXPECT_EQ(got.phase2_lower_bound, want.phase2_lower_bound);
+  EXPECT_EQ(got.phase2_gap, want.phase2_gap);
+  EXPECT_EQ(got.phase2_table_cap_hits, want.phase2_table_cap_hits);
+  EXPECT_EQ(got.phase2_subtree_tasks, want.phase2_subtree_tasks);
+  EXPECT_EQ(got.phase2_steals, want.phase2_steals);
+  EXPECT_EQ(got.phase2_steal_attempts, want.phase2_steal_attempts);
+  EXPECT_EQ(got.phase2_splits, want.phase2_splits);
+  EXPECT_EQ(got.phase2_windows, want.phase2_windows);
+  EXPECT_EQ(got.phase2_windows_proven, want.phase2_windows_proven);
+  EXPECT_EQ(got.phase2_window_widths, want.phase2_window_widths);
+  EXPECT_EQ(decoded.allocation_cost, original.allocation_cost);
+  EXPECT_EQ(decoded.intra_cost, original.intra_cost);
+  EXPECT_EQ(decoded.wrap_cost, original.wrap_cost);
+  EXPECT_EQ(decoded.allocation_text, original.allocation_text);
+
+  ASSERT_EQ(decoded.plan.values.size(), original.plan.values.size());
+  for (std::size_t i = 0; i < original.plan.values.size(); ++i) {
+    EXPECT_EQ(decoded.plan.values[i].value, original.plan.values[i].value);
+    EXPECT_EQ(decoded.plan.values[i].covered,
+              original.plan.values[i].covered);
+  }
+  EXPECT_EQ(decoded.plan.covered_per_iteration,
+            original.plan.covered_per_iteration);
+  EXPECT_EQ(decoded.plan.residual_cost, original.plan.residual_cost);
+
+  EXPECT_EQ(decoded.program.setup, original.program.setup);
+  EXPECT_EQ(decoded.program.body, original.program.body);
+  EXPECT_EQ(decoded.program.register_count, original.program.register_count);
+  EXPECT_EQ(decoded.program.modify_register_count,
+            original.program.modify_register_count);
+  EXPECT_EQ(decoded.program.addressing, original.program.addressing);
+
+  EXPECT_EQ(decoded.iterations, original.iterations);
+  EXPECT_EQ(decoded.sim.verified, original.sim.verified);
+  EXPECT_EQ(decoded.sim.failure, original.sim.failure);
+  EXPECT_EQ(decoded.sim.iterations, original.sim.iterations);
+  EXPECT_EQ(decoded.sim.accesses_executed, original.sim.accesses_executed);
+  EXPECT_EQ(decoded.sim.setup_instructions, original.sim.setup_instructions);
+  EXPECT_EQ(decoded.sim.extra_instructions, original.sim.extra_instructions);
+  EXPECT_EQ(decoded.sim.address_cycles, original.sim.address_cycles);
+  EXPECT_EQ(decoded.verified, original.verified);
+
+  EXPECT_EQ(decoded.baseline_size_words, original.baseline_size_words);
+  EXPECT_EQ(decoded.baseline_cycles, original.baseline_cycles);
+  EXPECT_EQ(decoded.optimized_size_words, original.optimized_size_words);
+  EXPECT_EQ(decoded.optimized_cycles, original.optimized_cycles);
+  EXPECT_EQ(decoded.size_reduction_percent, original.size_reduction_percent);
+  EXPECT_EQ(decoded.speed_reduction_percent,
+            original.speed_reduction_percent);
+}
+
+TEST(StoreCodec, RoundTripRestoresEveryPersistedField) {
+  // Every allocation strategy at every stop_after prefix, on a body
+  // that merges, plans a modify register and uses pre-modify addressing,
+  // plus a multi-window tiled solve (window widths, whole-body bound).
+  engine::Engine engine(engine::Engine::Options{0});
+  engine::Request base;
+  base.kernel = ir::builtin_kernel("biquad");
+  base.machine = agu::builtin_machine("adsp218x");
+  base.machine.set_address_registers(2);
+  base.machine.addressing = agu::Addressing::kPreModify;
+  engine::Request tiled;
+  tiled.kernel = ir::Kernel("strided", "24 stride-3 accesses");
+  tiled.kernel.add_array("a", 256).set_iterations(3);
+  for (int i = 0; i < 24; ++i) {
+    tiled.kernel.add_access("a", (7 * i) % 40, 3);
+  }
+  tiled.machine = agu::builtin_machine("minimal2");
+  tiled.phase2.mode = core::Phase2Options::Mode::kTiled;
+  tiled.phase2.tile_width = 10;
+  std::vector<engine::Request> requests;
+  for (const std::string& strategy :
+       engine::StrategyRegistry::builtin().allocation_names()) {
+    for (std::size_t stage = 0; stage < engine::kStageCount; ++stage) {
+      engine::Request request = base;
+      request.strategy = strategy;
+      request.stop_after = static_cast<engine::Stage>(stage);
+      requests.push_back(request);
+    }
+  }
+  for (std::size_t stage = 0; stage < engine::kStageCount; ++stage) {
+    engine::Request request = tiled;
+    request.stop_after = static_cast<engine::Stage>(stage);
+    requests.push_back(request);
+  }
+  for (const engine::Request& request : requests) {
+    SCOPED_TRACE(request.strategy + " to " +
+                 engine::stage_name(request.stop_after));
+    const engine::Result result = engine.run(request);
+    ASSERT_TRUE(result.ok()) << result.error->message;
+    expect_persisted_fields_equal(
+        engine::decode_result(engine::encode_result(result)), result);
+  }
+  // The sweep reached the fields a default run leaves at zero.
+  const engine::Result planned = engine.run(base);
+  EXPECT_GT(planned.stats.merges, 0u);
+  EXPECT_FALSE(planned.plan.values.empty());
+  const engine::Result full = engine.run(requests.back());
+  EXPECT_GT(full.stats.phase2_windows, 1u);
+  EXPECT_FALSE(full.program.body.empty());
+
+  // A failed simulation: its text and the simulator's own verdict.
+  engine::Result failed = planned;
+  failed.sim.verified = false;
+  failed.sim.failure = "access 2: expected \"8\", saw 9\n";
+  failed.verified = false;
+  expect_persisted_fields_equal(
+      engine::decode_result(engine::encode_result(failed)), failed);
+}
+
 TEST(StoreCodec, GarbageIsRejected) {
   EXPECT_THROW(engine::decode_result("not json"), Error);
   EXPECT_THROW(engine::decode_result("{}"), Error);
   EXPECT_THROW(engine::decode_result("{\"v\":999}"), Error);
 }
 
+TEST(StoreCodec, CorruptFieldsAreRejected) {
+  engine::Engine engine;
+  const std::string record =
+      engine::encode_result(engine.run(fir_request()));
+  ASSERT_NO_THROW(engine::decode_result(record));
+  // Swaps the first `from` in the record for `to`; the result must not
+  // decode.
+  const auto rejects = [&](const std::string& from, const std::string& to) {
+    const std::size_t at = record.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    std::string corrupt = record;
+    corrupt.replace(at, from.size(), to);
+    EXPECT_THROW(engine::decode_result(corrupt), Error) << to;
+  };
+  rejects("{\"v\":2,", "{\"v\":1,");
+  // A CRC-valid record can still carry a negative count; it must not be
+  // cast into a huge unsigned one.
+  rejects("\"accesses\":2", "\"accesses\":-2");
+  rejects("\"nodes\":", "\"nodes\":-1");
+  rejects("\"setup_instructions\":", "\"setup_instructions\":-1");
+  rejects("\"window_widths\":[]", "\"window_widths\":[-1]");
+  rejects("\"search_nodes\":", "\"search_nodes\":-1");
+  rejects("\"setup\":[[0,", "\"setup\":[[-1,");
+  rejects("\"setup\":[[0,", "\"setup\":[[9,");
+  rejects("\"addressing\":0", "\"addressing\":2");
+  rejects("\"setup\":[[0,0,0,0,0,", "\"setup\":[[0,0,0,0,2,");
+  rejects("\"cost\":", "\"cost\":99999999999");
+  rejects("\"stages\":{\"lower\"", "\"stages\":{\"lowered\"");
+  rejects(",\"detail\":{", ",\"details\":{");
+}
+
 
 // ------------------------------------------------ record compatibility
 
-/// The requests behind tests/golden/store_records.tsv, in its order:
-/// the serve smoke fixture, a multi-window tiled solve (the first
-/// solve-hard instance) and a stop_after prefix.
+/// The requests behind tests/golden/store_records.tsv and
+/// store_records_v1.tsv, in their order: the serve smoke fixture, a
+/// multi-window tiled solve (the first solve-hard instance) and a
+/// stop_after prefix.
 std::vector<std::string> fixture_requests() {
   std::vector<std::string> requests;
   for (const char* file :
@@ -660,15 +828,18 @@ struct FixtureRecord {
   std::string value;
 };
 
-/// Store records as an earlier build wrote them: one `key<TAB>value`
-/// line per record, copied out of the log that `dspaddr serve --store`
-/// wrote for fixture_requests(). Not regenerated with the goldens: the
-/// point is that records already on disk keep decoding, and that new
-/// ones are written byte for byte like them.
-std::vector<FixtureRecord> fixture_records() {
+/// Store records as a build wrote them: one `key<TAB>value` line per
+/// record, copied out of the log that `dspaddr serve --store` wrote for
+/// fixture_requests(). store_records.tsv holds records of the current
+/// codec version (2), store_records_v1.tsv those of version 1, which
+/// current builds no longer decode. Not regenerated with the goldens:
+/// the point is that records already on disk keep decoding (or heal),
+/// and that new ones are written byte for byte like them.
+std::vector<FixtureRecord> fixture_records(
+    const std::string& file = "store_records.tsv") {
   std::vector<FixtureRecord> records;
   std::istringstream lines(read_bytes(std::string(DSPADDR_SOURCE_DIR) +
-                                      "/tests/golden/store_records.tsv"));
+                                      "/tests/golden/" + file));
   for (std::string line; std::getline(lines, line);) {
     const std::size_t tab = line.find('\t');
     EXPECT_NE(tab, std::string::npos) << line;
@@ -743,6 +914,46 @@ TEST(StoreRecords, StoreSeededWithTheFixtureAnswersLikeAColdEngine) {
   EXPECT_EQ(store.find("misses")->as_int(), 0);
   EXPECT_EQ(store.find("appended_records")->as_int(), 0);
   EXPECT_EQ(stats.find("phase2")->find("nodes")->as_int(), 0);
+}
+
+TEST(StoreRecords, VersionOneRecordsAreRecomputedAndShadowed) {
+  // A store written by a version-1 build: every record fails to decode
+  // once, is recomputed with the answer a cold engine gives, and the
+  // re-append shadows it with the version-2 record.
+  const std::vector<std::string> requests = fixture_requests();
+  const std::vector<FixtureRecord> old_records =
+      fixture_records("store_records_v1.tsv");
+  ASSERT_EQ(old_records.size(), requests.size());
+  const std::vector<std::string> cold = serve_answers(requests, "");
+  const std::string path = temp_path("fixture_v1.log");
+  {
+    store::ResultStore db(store_options(path));
+    for (const FixtureRecord& record : old_records) {
+      db.append(record.key, record.value);
+    }
+  }
+  std::vector<std::string> lines = requests;
+  lines.push_back("{\"metrics\":true}");
+  const std::vector<std::string> healed = serve_answers(lines, path);
+  ASSERT_EQ(healed.size(), requests.size() + 1);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(healed[i], cold[i]) << "request " << i;
+  }
+  const support::JsonValue metrics =
+      *support::JsonValue::parse(healed.back()).find("metrics");
+  const auto count = static_cast<std::int64_t>(requests.size());
+  EXPECT_EQ(metrics.find("counters")
+                ->find("engine.store.decode_errors")
+                ->as_int(),
+            count);
+  EXPECT_EQ(metrics.find("store")->find("appended_records")->as_int(), count);
+
+  store::ResultStore db(store_options(path));
+  EXPECT_EQ(db.stats().records, requests.size());
+  for (const FixtureRecord& record : fixture_records()) {
+    EXPECT_EQ(db.get(record.key), std::optional<std::string>(record.value))
+        << record.key;
+  }
 }
 
 }  // namespace

@@ -5,10 +5,11 @@
 # the EngineParity tests diff freshly computed sweeps against them byte
 # for byte. t1_random_patterns.txt is the paper's T1 table,
 # solve_hard.jsonl the serve answers to the exact instances of
-# workloads/solve_hard.jsonl and compile_stream_head.jsonl the serve
+# workloads/solve_hard.jsonl, compile_stream_head.jsonl the serve
 # answers to the first 200 requests of the benchmark's compile stream
-# (workloads/compile_stream_head.jsonl); CI's smoke job compares all
-# three byte for byte. Rerun this script (and eyeball the git diff!)
+# (workloads/compile_stream_head.jsonl) and response_shapes.jsonl the
+# serve answers to workloads/response_shapes.jsonl, the rarer response
+# shapes; CI's smoke job compares all four byte for byte. Rerun this script (and eyeball the git diff!)
 # whenever the CSV schema or the default pipeline's numbers
 # intentionally change.
 #
@@ -79,6 +80,15 @@ serve_binary="$(cd "$(dirname "$dspaddr")" && pwd)/dspaddr"
 (cd "$repo" && "$serve_binary" serve --jobs 1 --cache-capacity 0 \
   < workloads/compile_stream_head.jsonl \
   > tests/golden/compile_stream_head.jsonl)
+
+# The response shapes the default-path goldens never show: every
+# stop_after prefix, a null k_tilde, an empty body, an inline machine
+# spec with an asymmetric window and free widths, a fixed-width tiled
+# sweep, an iterations override, an `auto` race and pre-modify
+# addressing.
+(cd "$repo" && "$serve_binary" serve --jobs 1 --cache-capacity 0 \
+  < workloads/response_shapes.jsonl \
+  > tests/golden/response_shapes.jsonl)
 
 echo "regenerated:"
 git -C "$repo" --no-pager diff --stat -- tests/golden || true
