@@ -14,7 +14,7 @@
 
 #include <iostream>
 
-#include "core/access_graph.hpp"
+#include "core/bounds.hpp"
 #include "core/merging.hpp"
 #include "core/phase1.hpp"
 #include "eval/patterns.hpp"
@@ -37,14 +37,13 @@ double mean_cost_for_strategy(core::MergeStrategy strategy, std::size_t n,
     spec.accesses = n;
     spec.offset_range = 10;
     const ir::AccessSequence seq = eval::generate_pattern(spec, rng);
-    const core::AccessGraph graph(seq, kModel);
-    const auto cover = core::compute_min_register_cover(graph).cover;
+    const core::SuffixBounds costs(seq, kModel);
+    const auto cover = core::compute_min_register_cover(costs).cover;
 
     core::MergeOptions options;
     options.strategy = strategy;
     options.seed = trial + 1;
-    const auto merged =
-        core::merge_to_register_limit(seq, kModel, cover, k, options);
+    const auto merged = core::merge_to_register_limit(costs, cover, k, options);
     stats.add(static_cast<double>(core::total_cost(seq, merged, kModel)));
   }
   return stats.mean();
@@ -93,13 +92,13 @@ void BM_MergeStrategy(benchmark::State& state) {
   spec.accesses = 60;
   spec.offset_range = 10;
   const ir::AccessSequence seq = eval::generate_pattern(spec, rng);
-  const core::AccessGraph graph(seq, kModel);
-  const auto cover = core::compute_min_register_cover(graph).cover;
+  const core::SuffixBounds costs(seq, kModel);
+  const auto cover = core::compute_min_register_cover(costs).cover;
   core::MergeOptions options;
   options.strategy = strategy;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::merge_to_register_limit(seq, kModel, cover, 2, options));
+        core::merge_to_register_limit(costs, cover, 2, options));
   }
 }
 BENCHMARK(BM_MergeStrategy)

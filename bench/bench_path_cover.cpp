@@ -39,9 +39,9 @@ void print_bounds_table() {
         spec.accesses = n;
         spec.offset_range = 8;
         const ir::AccessSequence seq = eval::generate_pattern(spec, rng);
-        const core::AccessGraph graph(
+        const core::SuffixBounds costs(
             seq, core::CostModel{m, core::WrapPolicy::kCyclic});
-        const core::Phase1Result r = core::compute_min_register_cover(graph);
+        const core::Phase1Result r = core::compute_min_register_cover(costs);
         if (!r.k_tilde.has_value()) continue;
         lb_stats.add(static_cast<double>(r.lower_bound));
         kt_stats.add(static_cast<double>(*r.k_tilde));
@@ -81,30 +81,30 @@ ir::AccessSequence pattern_of_size(std::size_t n) {
 
 void BM_MatchingLowerBound(benchmark::State& state) {
   const auto seq = pattern_of_size(static_cast<std::size_t>(state.range(0)));
-  const core::AccessGraph graph(
+  const core::SuffixBounds costs(
       seq, core::CostModel{1, core::WrapPolicy::kCyclic});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::lower_bound_registers(graph));
+    benchmark::DoNotOptimize(core::lower_bound_registers(costs));
   }
 }
 BENCHMARK(BM_MatchingLowerBound)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_GreedyUpperBound(benchmark::State& state) {
   const auto seq = pattern_of_size(static_cast<std::size_t>(state.range(0)));
-  const core::AccessGraph graph(
+  const core::SuffixBounds costs(
       seq, core::CostModel{1, core::WrapPolicy::kCyclic});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::greedy_zero_cost_cover(graph));
+    benchmark::DoNotOptimize(core::greedy_zero_cost_cover(costs));
   }
 }
 BENCHMARK(BM_GreedyUpperBound)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_Phase1Exact(benchmark::State& state) {
   const auto seq = pattern_of_size(static_cast<std::size_t>(state.range(0)));
-  const core::AccessGraph graph(
+  const core::SuffixBounds costs(
       seq, core::CostModel{1, core::WrapPolicy::kCyclic});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::compute_min_register_cover(graph).k_tilde);
+    benchmark::DoNotOptimize(core::compute_min_register_cover(costs).k_tilde);
   }
 }
 BENCHMARK(BM_Phase1Exact)->Arg(12)->Arg(16)->Arg(20);

@@ -10,7 +10,7 @@
 //   $ ./quickstart
 #include <iostream>
 
-#include "core/access_graph.hpp"
+#include "core/bounds.hpp"
 #include "engine/engine.hpp"
 #include "ir/kernels.hpp"
 #include "ir/layout.hpp"
@@ -35,9 +35,9 @@ int main() {
   // is a free post-modify away from a_i's (|distance| <= M).
   const core::CostModel model{/*modify_range=*/1,
                               core::WrapPolicy::kCyclic};
-  const core::AccessGraph graph(seq, model);
+  const core::SuffixBounds costs(seq, model);
   std::cout << "\n=== Zero-cost graph (M = 1), cf. Fig. 1 ===\n";
-  for (const auto& [from, to] : graph.intra().edges()) {
+  for (const auto& [from, to] : costs.free_intra_edges()) {
     std::cout << "  (a_" << (from + 1) << ", a_" << (to + 1) << ")\n";
   }
 

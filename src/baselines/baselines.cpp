@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "core/access_graph.hpp"
 #include "core/validate.hpp"
 #include "support/check.hpp"
 

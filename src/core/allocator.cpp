@@ -5,7 +5,6 @@
 #include <limits>
 #include <sstream>
 
-#include "core/access_graph.hpp"
 #include "core/exact.hpp"
 #include "core/tiled.hpp"
 #include "core/validate.hpp"
@@ -75,12 +74,10 @@ Allocation RegisterAllocator::run(const ir::AccessSequence& seq) const {
     return Allocation(seq, model, {}, stats);
   }
 
-  // One step-cost table serves the whole request: the graph is built
-  // from it, and phase 1's questions, the merger and the phase-2 solve
-  // read it.
-  const AccessGraph graph(seq, model);
-  const SuffixBounds& costs = graph.costs();
-  const Phase1Result phase1 = compute_min_register_cover(graph);
+  // One step-cost table serves the whole request: phase 1's questions,
+  // the merger and the phase-2 solve read it.
+  const SuffixBounds costs(seq, model);
+  const Phase1Result phase1 = compute_min_register_cover(costs);
   stats.k_tilde = phase1.k_tilde;
   stats.lower_bound = phase1.lower_bound;
   stats.upper_bound = phase1.upper_bound;

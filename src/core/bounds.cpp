@@ -4,41 +4,31 @@
 #include <cstdlib>
 #include <limits>
 
-#include "core/access_graph.hpp"
-#include "graph/path_cover.hpp"
+#include "core/validate.hpp"
+#include "graph/matching.hpp"
 #include "support/check.hpp"
 
 namespace dspaddr::core {
 
 namespace {
 
-std::vector<Path> to_paths(const graph::PathCover& cover) {
-  std::vector<Path> paths;
-  paths.reserve(cover.paths.size());
-  for (const auto& nodes : cover.paths) {
-    std::vector<std::size_t> indices(nodes.begin(), nodes.end());
-    paths.emplace_back(std::move(indices));
-  }
-  return paths;
-}
-
 /// Splits a path whose intra transitions are all zero-cost into the
 /// minimum number of contiguous chunks that each close (wrap) at zero
 /// cost. Returns nullopt when no such partition exists.
 std::optional<std::vector<Path>> split_for_zero_wrap(
-    const AccessGraph& graph, const Path& path) {
+    const SuffixBounds& costs, const Path& path) {
   const std::size_t m = path.size();
   constexpr std::size_t kInf = std::numeric_limits<std::size_t>::max();
   // chunks_up_to[j]: min chunks covering path positions [0, j); the
-  // chunk ending at position j-1 must start at some position i with
-  // wrap_edge(path[j-1], path[i]).
+  // chunk ending at position j-1 must start at some position i whose
+  // wrap from path[j-1] is free.
   std::vector<std::size_t> chunks_up_to(m + 1, kInf);
   std::vector<std::size_t> chunk_start(m + 1, 0);
   chunks_up_to[0] = 0;
   for (std::size_t j = 1; j <= m; ++j) {
     for (std::size_t i = 0; i < j; ++i) {
       if (chunks_up_to[i] == kInf) continue;
-      if (!graph.wrap_edge(path[j - 1], path[i])) continue;
+      if (costs.wrap_direct(path[j - 1], path[i]) != 0) continue;
       if (chunks_up_to[i] + 1 < chunks_up_to[j]) {
         chunks_up_to[j] = chunks_up_to[i] + 1;
         chunk_start[j] = i;
@@ -75,18 +65,43 @@ std::uint64_t bit(std::size_t index) {
 
 }  // namespace
 
-std::size_t lower_bound_registers(const AccessGraph& graph) {
-  return graph::minimum_path_cover_dag(graph.intra()).path_count();
+std::size_t lower_bound_registers(const SuffixBounds& costs) {
+  // With no registers the root bound is K~acyc itself.
+  if (costs.dense()) {
+    return static_cast<std::size_t>(costs.root_lower_bound(0));
+  }
+  const std::size_t n = costs.size();
+  return n - graph::hopcroft_karp(n, n, costs.free_intra_edges()).size;
 }
 
-std::vector<Path> acyclic_optimal_cover(const AccessGraph& graph) {
-  return to_paths(graph::minimum_path_cover_dag(graph.intra()));
+std::vector<Path> acyclic_optimal_cover(const SuffixBounds& costs) {
+  // Fulkerson's reduction: split every access into a left (out) and a
+  // right (in) copy; a maximum matching of the free intra edges pairs
+  // each matched access with its successor, so N - M paths cover all.
+  const std::size_t n = costs.size();
+  const graph::MatchingResult matching =
+      graph::hopcroft_karp(n, n, costs.free_intra_edges());
+  std::vector<Path> cover;
+  for (std::size_t start = 0; start < n; ++start) {
+    if (matching.match_right[start] != graph::MatchingResult::kUnmatched) {
+      continue;
+    }
+    std::vector<std::size_t> path{start};
+    while (matching.match_left[path.back()] !=
+           graph::MatchingResult::kUnmatched) {
+      path.push_back(matching.match_left[path.back()]);
+    }
+    cover.emplace_back(std::move(path));
+  }
+  check_invariant(cover.size() == n - matching.size,
+                  "acyclic_optimal_cover: path count mismatch");
+  validate_path_cover(costs, cover);
+  return cover;
 }
 
 std::optional<std::vector<Path>> greedy_zero_cost_cover(
-    const AccessGraph& graph) {
-  const ir::AccessSequence& seq = graph.sequence();
-  const CostModel& model = graph.model();
+    const SuffixBounds& costs) {
+  const ir::AccessSequence& seq = costs.sequence();
   const std::size_t n = seq.size();
 
   std::vector<Path> open;
@@ -95,10 +110,10 @@ std::optional<std::vector<Path>> greedy_zero_cost_cover(
     std::int64_t best_distance = std::numeric_limits<std::int64_t>::max();
     bool best_closable = false;
     for (std::size_t p = 0; p < open.size(); ++p) {
-      if (!intra_zero_cost(seq, open[p].last(), i, model)) continue;
+      if (costs.intra_cost(open[p].last(), i) != 0) continue;
       const std::int64_t distance =
           std::llabs(*seq.intra_distance(open[p].last(), i));
-      const bool closable = graph.wrap_edge(i, open[p].first());
+      const bool closable = costs.wrap_direct(i, open[p].first()) == 0;
       // Prefer a path that could close at zero cost if `i` became its
       // final access; among those, the nearest endpoint.
       if (best == open.size() || (closable && !best_closable) ||
@@ -115,16 +130,16 @@ std::optional<std::vector<Path>> greedy_zero_cost_cover(
     }
   }
 
-  if (model.wrap == WrapPolicy::kAcyclic) return open;
+  if (costs.model().wrap == WrapPolicy::kAcyclic) return open;
 
   // Repair: split any path whose wrap transition is unit-cost.
   std::vector<Path> result;
   for (const Path& path : open) {
-    if (path_wrap_cost(seq, path, model) == 0) {
+    if (costs.wrap_direct(path.last(), path.first()) == 0) {
       result.push_back(path);
       continue;
     }
-    auto chunks = split_for_zero_wrap(graph, path);
+    auto chunks = split_for_zero_wrap(costs, path);
     if (!chunks.has_value()) return std::nullopt;
     for (Path& chunk : *chunks) {
       result.push_back(std::move(chunk));
@@ -136,6 +151,8 @@ std::optional<std::vector<Path>> greedy_zero_cost_cover(
 SuffixBounds::SuffixBounds(const ir::AccessSequence& seq,
                            const CostModel& model)
     : seq_(seq), model_(model), dense_(seq.size() <= kDenseLimit) {
+  check_arg(model_.valid(),
+            "SuffixBounds: modify window [lo, hi] must contain 0");
   if (!dense_) return;
 
   const std::size_t n = seq_.size();
@@ -163,6 +180,30 @@ SuffixBounds::SuffixBounds(const ir::AccessSequence& seq,
       wrap_zero_horizon_[f] = l + 1;
     }
   }
+}
+
+std::vector<SuffixBounds::Edge> SuffixBounds::free_intra_edges() const {
+  const std::size_t n = seq_.size();
+  std::vector<Edge> edges;
+  const auto add = [&](std::size_t p, std::size_t q) {
+    edges.emplace_back(static_cast<std::uint32_t>(p),
+                       static_cast<std::uint32_t>(q));
+  };
+  for (std::size_t p = 0; p < n; ++p) {
+    if (!dense_) {
+      for (std::size_t q = p + 1; q < n; ++q) {
+        if (intra_transition_cost(seq_, p, q, model_) == 0) add(p, q);
+      }
+      continue;
+    }
+    const std::uint64_t* row = free_successors(p);
+    for (std::size_t w = 0; w < words_; ++w) {
+      for (std::uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+        add(p, w * 64 + lowest_bit(bits));
+      }
+    }
+  }
+  return edges;
 }
 
 int SuffixBounds::path_cost(const Path& path) const {

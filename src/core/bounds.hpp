@@ -3,23 +3,25 @@
 // the step-cost table and admissible suffix bounds driving the exact
 // search.
 //
-// * Lower bound: the minimum path cover of the intra-iteration zero-cost
-//   DAG, computed exactly as N - (maximum bipartite matching) — the
-//   technique of Araujo et al. [2]. Every zero-cost cover under the
-//   cyclic model is in particular a path cover of that DAG, so its size
-//   is bounded below by this value.
+// * SuffixBounds: the request's zero-cost graph G = (V, E) (paper
+//   section 2, Fig. 1) and its step costs, tabulated once per request
+//   — bitset rows of the free intra edges and of the free wraps, each
+//   access's zero-wrap horizon and the root matching — and the
+//   admissible bounds they give on the cost still to be paid by a
+//   partial assignment. Phase 1, the merger and the phase-2 solve all
+//   read one table instead of calling the cost model.
+// * Lower bound: the minimum path cover of the free intra edges (a DAG:
+//   every edge runs forward), N minus their maximum bipartite matching
+//   — the technique of Araujo et al. [2]. Every zero-cost cover under
+//   the cyclic model is in particular such a path cover, so its size is
+//   bounded below by this value. The table's root matching is that
+//   matching; above kDenseLimit, where the table keeps no rows,
+//   Hopcroft-Karp computes it from the enumerated edges.
 // * Upper bound: a greedy sweep that appends each access to the
 //   zero-cost-compatible open path with the nearest endpoint, followed
 //   by a split-repair pass that restores zero wrap cost. The result is a
 //   valid zero-cost cover (hence an upper bound on K~) whenever one
 //   exists.
-// * SuffixBounds: the step costs of one (sequence, model) pair,
-//   tabulated once per request — bitset rows of the free intra edges
-//   and of the free wraps, each access's zero-wrap horizon and the root
-//   matching — and the admissible bounds they give on the cost still to
-//   be paid by a partial assignment. The AccessGraph owns the request's
-//   table; phase 1's questions, the merger and the phase-2 solve read
-//   it instead of calling the cost model.
 // * ResidualMatching: a maximum matching of the free intra edges still
 //   usable by a partial assignment, repaired incrementally as the
 //   search assigns and undoes accesses — the same Araujo et al. bound,
@@ -29,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/cost_model.hpp"
@@ -36,23 +39,6 @@
 #include "ir/access_sequence.hpp"
 
 namespace dspaddr::core {
-
-class AccessGraph;
-
-/// Matching-based lower bound on K~ (exact minimum under kAcyclic).
-std::size_t lower_bound_registers(const AccessGraph& graph);
-
-/// The acyclic-optimal cover itself (used as the phase-2 starting point
-/// when no zero-cost cyclic cover exists).
-std::vector<Path> acyclic_optimal_cover(const AccessGraph& graph);
-
-/// Greedy zero-cost cover; the size of the returned cover is an upper
-/// bound on K~. Returns nullopt when the greedy cannot produce one —
-/// only possible when some access has |stride| > M (singletons no longer
-/// close for free); a zero-cost cover may still exist in that case and
-/// phase 1's exact search (core/phase1.hpp) decides.
-std::optional<std::vector<Path>> greedy_zero_cost_cover(
-    const AccessGraph& graph);
 
 /// The step costs of one access sequence under one cost model, and
 /// admissible lower bounds on the remaining cost of a partial phase-2
@@ -86,6 +72,7 @@ class SuffixBounds {
   /// memory on instances it could never finish anyway.
   static constexpr std::size_t kDenseLimit = 512;
 
+  /// Requires a valid model (a window containing 0).
   SuffixBounds(const ir::AccessSequence& seq, const CostModel& model);
 
   /// False when the instance exceeded kDenseLimit and the trivial
@@ -127,6 +114,14 @@ class SuffixBounds {
     if (!dense_) return wrap_transition_cost(seq_, last, first, model_);
     return has_bit(wrap_free_.data() + last * words_, first) ? 0 : 1;
   }
+
+  /// An intra edge (p, q), p < q, of the zero-cost graph.
+  using Edge = std::pair<std::uint32_t, std::uint32_t>;
+
+  /// The free intra edges in ascending (p, q) order — the edge set E of
+  /// the zero-cost graph. Read off the rows when dense; above
+  /// kDenseLimit each pair asks the cost model.
+  std::vector<Edge> free_intra_edges() const;
 
   /// One past the largest access j with wrap_direct(j, first) == 0.
   /// Costs are 0/1, so an open register running first .. last with
@@ -175,6 +170,24 @@ class SuffixBounds {
   std::vector<std::uint32_t> root_partner_;
   std::size_t root_matching_ = 0;
 };
+
+/// Matching-based lower bound on K~ (exact minimum under kAcyclic):
+/// N minus the table's root matching, or minus a Hopcroft-Karp matching
+/// of free_intra_edges() above kDenseLimit.
+std::size_t lower_bound_registers(const SuffixBounds& costs);
+
+/// The acyclic-optimal cover itself: the paths of a Hopcroft-Karp
+/// matching of free_intra_edges() (used as the phase-2 starting point
+/// when no zero-cost cyclic cover exists).
+std::vector<Path> acyclic_optimal_cover(const SuffixBounds& costs);
+
+/// Greedy zero-cost cover; the size of the returned cover is an upper
+/// bound on K~. Returns nullopt when the greedy cannot produce one —
+/// only possible when some access has |stride| > M (singletons no longer
+/// close for free); a zero-cost cover may still exist in that case and
+/// phase 1's exact search (core/phase1.hpp) decides.
+std::optional<std::vector<Path>> greedy_zero_cost_cover(
+    const SuffixBounds& costs);
 
 /// Maximum matching of the free intra edges a partial assignment can
 /// still use: left vertices are the open registers' last accesses plus

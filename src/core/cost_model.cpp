@@ -22,9 +22,4 @@ int wrap_transition_cost(const ir::AccessSequence& seq, std::size_t last,
   return free_transition(seq.wrap_distance(last, first), model) ? 0 : 1;
 }
 
-bool intra_zero_cost(const ir::AccessSequence& seq, std::size_t p,
-                     std::size_t q, const CostModel& model) {
-  return intra_transition_cost(seq, p, q, model) == 0;
-}
-
 }  // namespace dspaddr::core

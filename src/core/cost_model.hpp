@@ -104,8 +104,4 @@ int intra_transition_cost(const ir::AccessSequence& seq, std::size_t p,
 int wrap_transition_cost(const ir::AccessSequence& seq, std::size_t last,
                          std::size_t first, const CostModel& model);
 
-/// True iff the intra-iteration transition p -> q is free.
-bool intra_zero_cost(const ir::AccessSequence& seq, std::size_t p,
-                     std::size_t q, const CostModel& model);
-
 }  // namespace dspaddr::core

@@ -64,9 +64,10 @@
 // abort returns the best incumbent with `proven == false` and the
 // optimality gap against the root lower bound.
 // Every step and wrap cost the search, its seeds and its bound read
-// comes from one SuffixBounds table (core/bounds.hpp). The allocator
-// builds it once per request and passes it to every phase-1 question
-// and the phase-2 solve; the overloads without one build their own.
+// comes from one SuffixBounds table (core/bounds.hpp), the request's
+// only copy of the zero-cost graph. The allocator builds it once per
+// request and passes it to every phase-1 question and the phase-2
+// solve; the overloads without one build their own.
 #pragma once
 
 #include <atomic>

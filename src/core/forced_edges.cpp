@@ -6,8 +6,7 @@ namespace dspaddr::core {
 
 namespace {
 
-using BipartiteEdges =
-    std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+using BipartiteEdges = std::vector<SuffixBounds::Edge>;
 
 std::size_t matching_size(std::size_t n, const BipartiteEdges& edges) {
   return graph::hopcroft_karp(n, n, edges).size;
@@ -27,12 +26,9 @@ const char* to_string(EdgeRole role) {
   return "unknown";
 }
 
-std::vector<ClassifiedEdge> classify_edges(const AccessGraph& graph) {
-  const std::size_t n = graph.node_count();
-  BipartiteEdges all;
-  for (const auto& [from, to] : graph.intra().edges()) {
-    all.emplace_back(from, to);
-  }
+std::vector<ClassifiedEdge> classify_edges(const SuffixBounds& costs) {
+  const std::size_t n = costs.size();
+  const BipartiteEdges all = costs.free_intra_edges();
   const std::size_t base = matching_size(n, all);
 
   std::vector<ClassifiedEdge> classified;
@@ -68,9 +64,9 @@ std::vector<ClassifiedEdge> classify_edges(const AccessGraph& graph) {
   return classified;
 }
 
-std::size_t mandatory_edge_count(const AccessGraph& graph) {
+std::size_t mandatory_edge_count(const SuffixBounds& costs) {
   std::size_t count = 0;
-  for (const ClassifiedEdge& edge : classify_edges(graph)) {
+  for (const ClassifiedEdge& edge : classify_edges(costs)) {
     if (edge.role == EdgeRole::kMandatory) ++count;
   }
   return count;

@@ -15,7 +15,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "core/access_graph.hpp"
+#include "core/bounds.hpp"
 
 namespace dspaddr::core {
 
@@ -38,12 +38,13 @@ struct ClassifiedEdge {
   EdgeRole role = EdgeRole::kOptional;
 };
 
-/// Classifies every intra edge of the graph (acyclic-model reasoning;
+/// Classifies every free intra edge of the table, in
+/// SuffixBounds::free_intra_edges() order (acyclic-model reasoning;
 /// O(E) matching recomputations — fine for the instance sizes phase 1
 /// handles exactly).
-std::vector<ClassifiedEdge> classify_edges(const AccessGraph& graph);
+std::vector<ClassifiedEdge> classify_edges(const SuffixBounds& costs);
 
 /// Count of mandatory edges (convenience for benches).
-std::size_t mandatory_edge_count(const AccessGraph& graph);
+std::size_t mandatory_edge_count(const SuffixBounds& costs);
 
 }  // namespace dspaddr::core

@@ -16,13 +16,12 @@ namespace {
 /// Those successors form a permutation, so a zero-cost cover with any
 /// number of registers needs a perfect matching of the free intra plus
 /// free wrap (last >= first) edges.
-bool admits_zero_cost_cycle_cover(const AccessGraph& graph) {
-  const std::size_t n = graph.node_count();
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges =
-      graph.intra().edges();
+bool admits_zero_cost_cycle_cover(const SuffixBounds& costs) {
+  const std::size_t n = costs.size();
+  std::vector<SuffixBounds::Edge> edges = costs.free_intra_edges();
   for (std::size_t last = 0; last < n; ++last) {
     for (std::size_t first = 0; first <= last; ++first) {
-      if (graph.wrap_edge(last, first)) {
+      if (costs.wrap_direct(last, first) == 0) {
         edges.emplace_back(static_cast<std::uint32_t>(last),
                            static_cast<std::uint32_t>(first));
       }
@@ -33,27 +32,27 @@ bool admits_zero_cost_cycle_cover(const AccessGraph& graph) {
 
 }  // namespace
 
-Phase1Result compute_min_register_cover(const AccessGraph& graph) {
+Phase1Result compute_min_register_cover(const SuffixBounds& costs) {
   Phase1Result result;
-  const std::size_t n = graph.node_count();
+  const std::size_t n = costs.size();
   if (n == 0) {
     result.k_tilde = 0;
     result.exact = true;
     return result;
   }
 
-  result.lower_bound = lower_bound_registers(graph);
+  result.lower_bound = lower_bound_registers(costs);
 
   // Under the acyclic model the matching cover is the exact optimum.
-  if (graph.model().wrap == WrapPolicy::kAcyclic) {
-    result.cover = acyclic_optimal_cover(graph);
+  if (costs.model().wrap == WrapPolicy::kAcyclic) {
+    result.cover = acyclic_optimal_cover(costs);
     result.k_tilde = result.cover.size();
     result.upper_bound = result.cover.size();
     result.exact = true;
     return result;
   }
 
-  std::optional<std::vector<Path>> greedy = greedy_zero_cost_cover(graph);
+  std::optional<std::vector<Path>> greedy = greedy_zero_cost_cover(costs);
   if (greedy.has_value()) {
     result.upper_bound = greedy->size();
     result.k_tilde = greedy->size();
@@ -62,7 +61,7 @@ Phase1Result compute_min_register_cover(const AccessGraph& graph) {
 
   if (result.k_tilde == result.lower_bound) {
     result.exact = true;
-  } else if (!greedy.has_value() && !admits_zero_cost_cycle_cover(graph)) {
+  } else if (!greedy.has_value() && !admits_zero_cost_cycle_cover(costs)) {
     // No zero-cost cover at any register count: decided without search.
     result.exact = true;
   } else if (n <= kPhase1SearchAccessLimit) {
@@ -73,8 +72,7 @@ Phase1Result compute_min_register_cover(const AccessGraph& graph) {
     std::uint64_t budget = kPhase1NodeBudget;
     std::size_t registers = result.k_tilde.value_or(n + 1) - 1;
     while (registers >= result.lower_bound) {
-      ZeroCostCover smaller =
-          zero_cost_cover(graph.costs(), registers, budget);
+      ZeroCostCover smaller = zero_cost_cover(costs, registers, budget);
       result.search_nodes += smaller.nodes;
       budget -= smaller.nodes;
       if (!smaller.paths.has_value()) {
@@ -88,7 +86,7 @@ Phase1Result compute_min_register_cover(const AccessGraph& graph) {
   }
 
   if (!result.k_tilde.has_value()) {
-    result.cover = acyclic_optimal_cover(graph);
+    result.cover = acyclic_optimal_cover(costs);
   }
   return result;
 }

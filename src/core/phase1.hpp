@@ -2,25 +2,26 @@
 // a zero-cost allocation (paper section 3.1 and the companion paper
 // [3]).
 //
-// The matching bound (core/bounds.hpp) brackets K~ from below and the
+// Every question reads the request's step-cost table (core/bounds.hpp),
+// the one representation of the zero-cost graph. The matching bound —
+// N minus the table's root matching — brackets K~ from below and the
 // greedy zero-cost cover from above. Under the acyclic model the
-// matching cover is optimal. Otherwise the exact search of core/exact.hpp
-// answers "is there a zero-cost cover with at most k registers?" for
-// k one below the best cover known, until no cover exists or k drops
-// below the matching bound. When the greedy finds no cover (some
-// |stride| > M), phase 1 first asks whether the free intra and wrap
-// edges admit a cycle cover (a perfect matching): a zero-cost cover
-// closes every register into such a cycle, so without one no zero-cost
-// cover exists at any register count and the answer is exact without a
-// search, at any N. Otherwise the first question asks at N registers.
-// All questions of one run share one node budget.
+// matching cover is optimal. Otherwise the exact search of
+// core/exact.hpp answers "is there a zero-cost cover with at most k
+// registers?" for k one below the best cover known, until no cover
+// exists or k drops below the matching bound. When the greedy finds no
+// cover (some |stride| > M), phase 1 first asks whether the free intra
+// and wrap edges admit a cycle cover (a perfect matching): a zero-cost
+// cover closes every register into such a cycle, so without one no
+// zero-cost cover exists at any register count and the answer is exact
+// without a search, at any N. Otherwise the first question asks at N
+// registers. All questions of one run share one node budget.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "core/access_graph.hpp"
 #include "core/bounds.hpp"
 #include "core/path.hpp"
 
@@ -53,7 +54,7 @@ struct Phase1Result {
   std::uint64_t search_nodes = 0;
 };
 
-/// Runs phase 1 on the access graph.
-Phase1Result compute_min_register_cover(const AccessGraph& graph);
+/// Runs phase 1 on the request's step-cost table.
+Phase1Result compute_min_register_cover(const SuffixBounds& costs);
 
 }  // namespace dspaddr::core

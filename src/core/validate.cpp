@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/bounds.hpp"
 #include "support/check.hpp"
 
 namespace dspaddr::core {
@@ -28,6 +29,17 @@ void validate_allocation(const ir::AccessSequence& seq,
       std::all_of(appearances.begin(), appearances.end(),
                   [](std::size_t c) { return c == 1; }),
       "allocation: every access must be covered exactly once");
+}
+
+void validate_path_cover(const SuffixBounds& costs,
+                         const std::vector<Path>& cover) {
+  validate_allocation(costs.sequence(), cover, cover.size());
+  for (const Path& path : cover) {
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      check_invariant(costs.intra_cost(path[i], path[i + 1]) == 0,
+                      "path cover: consecutive pair is not a free edge");
+    }
+  }
 }
 
 }  // namespace dspaddr::core

@@ -14,6 +14,7 @@ Kernel::Kernel(std::string name, std::string description)
 Kernel& Kernel::add_array(std::string name, std::int64_t size) {
   check_arg(!name.empty(), "Kernel: array name must not be empty");
   check_arg(size > 0, "Kernel: array size must be positive");
+  check_arg(size <= kMaxMagnitude, "Kernel: array size exceeds 2^31");
   check_arg(!has_array(name), "Kernel: duplicate array name '" + name + "'");
   arrays_.push_back(ArrayDecl{std::move(name), size});
   return *this;
@@ -29,6 +30,10 @@ Kernel& Kernel::add_access(std::string array, std::int64_t offset,
                            std::int64_t stride, bool is_write) {
   check_arg(has_array(array),
             "Kernel: access to undeclared array '" + array + "'");
+  check_arg(offset >= -kMaxMagnitude && offset <= kMaxMagnitude,
+            "Kernel: |offset| exceeds 2^31");
+  check_arg(stride >= -kMaxMagnitude && stride <= kMaxMagnitude,
+            "Kernel: |stride| exceeds 2^31");
   accesses_.push_back(KernelAccess{std::move(array), offset, stride, is_write});
   return *this;
 }

@@ -12,6 +12,15 @@
 
 namespace dspaddr::ir {
 
+/// The largest |offset|, |stride| and array size a kernel accepts: 2^31.
+/// Every front end (inline JSON, both file parsers, the builtins) builds
+/// its kernel through add_array / add_access, which enforce it. Below
+/// it, for any kernel of fewer than 2^30 arrays, nothing downstream
+/// overflows int64: lowering's array base + offset, the cost model's
+/// offset differences plus a stride, and the simulator's offset +
+/// iteration * stride below 2^31 iterations.
+constexpr std::int64_t kMaxMagnitude = std::int64_t{1} << 31;
+
 /// An array declared by a kernel, placed in the linear address space by
 /// ArrayLayout in declaration order.
 struct ArrayDecl {
@@ -55,13 +64,15 @@ public:
   const std::string& name() const { return name_; }
   const std::string& description() const { return description_; }
 
-  /// Declares an array; names must be unique and sizes positive.
+  /// Declares an array; names must be unique and sizes in
+  /// [1, kMaxMagnitude].
   Kernel& add_array(std::string name, std::int64_t size);
 
   /// Sets the modeled loop's iteration count (> 0).
   Kernel& set_iterations(std::int64_t iterations);
 
-  /// Appends an access to the loop body; the array must be declared.
+  /// Appends an access to the loop body; the array must be declared and
+  /// |offset|, |stride| at most kMaxMagnitude.
   Kernel& add_access(std::string array, std::int64_t offset,
                      std::int64_t stride = 1, bool is_write = false);
 

@@ -1,6 +1,7 @@
 #include "ir/loop_parser.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <optional>
 #include <vector>
 
@@ -27,6 +28,18 @@ struct Token {
   std::int64_t number = 0;
   std::size_t line = 1;
 };
+
+/// a + b, a - b or a * b (`op`), or a ParseError at `line` when the
+/// result does not fit in int64.
+std::int64_t checked(std::size_t line, char op, std::int64_t a,
+                     std::int64_t b) {
+  std::int64_t result = 0;
+  const bool overflow = op == '+'   ? __builtin_add_overflow(a, b, &result)
+                        : op == '-' ? __builtin_sub_overflow(a, b, &result)
+                                    : __builtin_mul_overflow(a, b, &result);
+  if (overflow) throw ParseError(line, "integer overflow");
+  return result;
+}
 
 class Lexer {
 public:
@@ -105,7 +118,11 @@ private:
            std::isdigit(static_cast<unsigned char>(source_[position_]))) {
       token.text += source_[position_++];
     }
-    token.number = std::stoll(token.text);
+    const char* end = token.text.data() + token.text.size();
+    if (std::from_chars(token.text.data(), end, token.number).ec !=
+        std::errc()) {
+      throw ParseError(line_, "number out of range: " + token.text);
+    }
     return token;
   }
 
@@ -304,7 +321,8 @@ private:
     if (limit < start_) {
       throw ParseError(line, "loop executes zero iterations");
     }
-    kernel_.set_iterations((limit - start_) / step_ + 1);
+    const std::int64_t span = checked(line, '-', limit, start_);
+    kernel_.set_iterations(checked(line, '+', span / step_, 1));
   }
 
   // statement := ref ';' | ref '=' expr ';'
@@ -388,6 +406,7 @@ private:
   }
 
   void parse_affine_part(AffineIndex& result, std::int64_t sign) {
+    const std::size_t line = current().line;
     if (current().kind == TokenKind::kNumber) {
       const std::int64_t value = expect_number();
       if (is_punct("*")) {
@@ -396,9 +415,9 @@ private:
           throw ParseError(current().line,
                            "index must be affine in '" + loop_var_ + "'");
         }
-        result.coeff += sign * value;
+        result.coeff = checked(line, '+', result.coeff, sign * value);
       } else {
-        result.base += sign * value;
+        result.base = checked(line, '+', result.base, sign * value);
       }
       return;
     }
@@ -410,7 +429,7 @@ private:
                              "' and constants are allowed)");
       }
       advance();
-      result.coeff += sign;
+      result.coeff = checked(line, '+', result.coeff, sign);
       return;
     }
     throw ParseError(current().line,
@@ -420,9 +439,11 @@ private:
 
   void add_access(std::size_t line, const std::string& array,
                   const AffineIndex& index, bool is_write) {
+    const std::int64_t scaled = checked(line, '*', index.coeff, start_);
+    const std::int64_t offset = checked(line, '+', scaled, index.base);
+    const std::int64_t stride = checked(line, '*', index.coeff, step_);
     try {
-      kernel_.add_access(array, index.coeff * start_ + index.base,
-                         index.coeff * step_, is_write);
+      kernel_.add_access(array, offset, stride, is_write);
     } catch (const InvalidArgument& e) {
       throw ParseError(line, e.what());
     }

@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/access_graph.hpp"
 #include "graph/matching.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -129,8 +128,9 @@ TEST_P(ResidualMatchingTest, RootBoundIsPhaseOnesMatchingBound) {
   support::Rng rng(GetParam() * 2749 + 5);
   const auto [seq, model] = random_body(rng);
   const SuffixBounds bounds(seq, model);
-  const int k_tilde_acyclic =
-      static_cast<int>(lower_bound_registers(AccessGraph(seq, model)));
+  const std::size_t matching = residual_matching_size(seq, model, 0, {});
+  const int k_tilde_acyclic = static_cast<int>(seq.size() - matching);
+  EXPECT_EQ(lower_bound_registers(bounds), seq.size() - matching);
   for (std::size_t registers = 1; registers <= seq.size() + 1; ++registers) {
     EXPECT_EQ(bounds.root_lower_bound(registers),
               std::max(0, k_tilde_acyclic - static_cast<int>(registers)))
@@ -144,9 +144,9 @@ INSTANTIATE_TEST_SUITE_P(RandomSeeds, ResidualMatchingTest,
 class StepCostTableTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(StepCostTableTest, EveryReadIsTheCostModels) {
-  // The table's rows, the graph built from them and path costs summed
-  // from them against the cost model, on dense and (for seed 0) sparse
-  // tables, under both wrap policies.
+  // The table's rows, its edge list, its matching bound and path costs
+  // summed from it against the cost model, on dense and (for seed 0)
+  // sparse tables, under both wrap policies.
   support::Rng rng(GetParam() * 4099 + 11);
   auto [seq, model] = random_body(rng);
   if (GetParam() == 0) {
@@ -158,23 +158,25 @@ TEST_P(StepCostTableTest, EveryReadIsTheCostModels) {
   }
   if (rng.bernoulli(0.25)) model.wrap = WrapPolicy::kAcyclic;
   const SuffixBounds costs(seq, model);
-  const AccessGraph graph(seq, model);
   const std::size_t n = seq.size();
   EXPECT_EQ(costs.dense(), n <= SuffixBounds::kDenseLimit);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> free_edges;
   for (std::size_t p = 0; p < n; ++p) {
     for (std::size_t q = 0; q < n; ++q) {
       const int wrap = wrap_transition_cost(seq, p, q, model);
       ASSERT_EQ(costs.wrap_direct(p, q), wrap) << p << " -> " << q;
-      ASSERT_EQ(graph.wrap_edge(p, q), wrap == 0) << p << " -> " << q;
       if (p >= q) continue;
       const int intra = intra_transition_cost(seq, p, q, model);
       ASSERT_EQ(costs.intra_cost(p, q), intra) << p << " -> " << q;
-      ASSERT_EQ(graph.intra().has_edge(static_cast<graph::NodeId>(p),
-                                       static_cast<graph::NodeId>(q)),
-                intra == 0)
-          << p << " -> " << q;
+      if (intra == 0) {
+        free_edges.emplace_back(static_cast<std::uint32_t>(p),
+                                static_cast<std::uint32_t>(q));
+      }
     }
   }
+  EXPECT_EQ(costs.free_intra_edges(), free_edges);
+  EXPECT_EQ(lower_bound_registers(costs),
+            n - graph::hopcroft_karp(n, n, free_edges).size);
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<std::size_t> indices;
     for (std::size_t i = 0; i < n; ++i) {

@@ -20,16 +20,16 @@ TEST(CostModel, IntraZeroCostWithinModifyRange) {
 TEST(CostModel, BoundaryDistanceExactlyMIsFree) {
   const auto seq = AccessSequence::from_offsets({0, 3});
   const CostModel m3{3, WrapPolicy::kCyclic};
-  EXPECT_TRUE(intra_zero_cost(seq, 0, 1, m3));
+  EXPECT_EQ(intra_transition_cost(seq, 0, 1, m3), 0);
   const CostModel m2{2, WrapPolicy::kCyclic};
-  EXPECT_FALSE(intra_zero_cost(seq, 0, 1, m2));
+  EXPECT_EQ(intra_transition_cost(seq, 0, 1, m2), 1);
 }
 
 TEST(CostModel, ModifyRangeZeroOnlyFreeAtSameAddress) {
   const auto seq = AccessSequence::from_offsets({5, 5, 6});
   const CostModel m0{0, WrapPolicy::kCyclic};
-  EXPECT_TRUE(intra_zero_cost(seq, 0, 1, m0));
-  EXPECT_FALSE(intra_zero_cost(seq, 1, 2, m0));
+  EXPECT_EQ(intra_transition_cost(seq, 0, 1, m0), 0);
+  EXPECT_EQ(intra_transition_cost(seq, 1, 2, m0), 1);
 }
 
 TEST(CostModel, DifferentStridesAreNeverFree) {

@@ -16,7 +16,7 @@ const CostModel kM1{1, WrapPolicy::kCyclic};
 TEST(ForcedEdges, ChainEdgesAreAllMandatory) {
   // 0-1-2-3 ramp: the only maximum matching chains everything.
   const auto seq = AccessSequence::from_offsets({0, 1, 2, 3});
-  const AccessGraph g(seq, kM1);
+  const SuffixBounds g(seq, kM1);
   for (const ClassifiedEdge& edge : classify_edges(g)) {
     // Consecutive ramp edges are mandatory; the matching uses exactly
     // the three consecutive pairs.
@@ -30,7 +30,7 @@ TEST(ForcedEdges, ChainEdgesAreAllMandatory) {
 
 TEST(ForcedEdges, IsolatedNodesHaveNoEdges) {
   const auto seq = AccessSequence::from_offsets({0, 100, 200});
-  const AccessGraph g(seq, kM1);
+  const SuffixBounds g(seq, kM1);
   EXPECT_TRUE(classify_edges(g).empty());
   EXPECT_EQ(mandatory_edge_count(g), 0u);
 }
@@ -41,7 +41,7 @@ TEST(ForcedEdges, SkipEdgeOfATriangleIsUseless) {
   // only size-2 matching is {0-1, 1-2} (choosing 0-2 starves left 1).
   // Hence 0-1 and 1-2 are mandatory and the skip edge 0-2 is useless.
   const auto seq = AccessSequence::from_offsets({0, 0, 0});
-  const AccessGraph g(seq, kM1);
+  const SuffixBounds g(seq, kM1);
   const auto classified = classify_edges(g);
   ASSERT_EQ(classified.size(), 3u);
   for (const ClassifiedEdge& edge : classified) {
@@ -70,9 +70,9 @@ TEST_P(ForcedEdgePropertyTest, ClassificationMatchesEnumeration) {
   spec.accesses = 3 + rng.index(5);  // up to 7 nodes
   spec.offset_range = 3;
   const AccessSequence seq = eval::generate_pattern(spec, rng);
-  const AccessGraph g(seq, kM1);
+  const SuffixBounds g(seq, kM1);
 
-  const auto edges = g.intra().edges();
+  const auto edges = g.free_intra_edges();
   if (edges.size() > 16) return;  // keep the oracle tractable
 
   // Enumerate all matchings; record which edges appear in maximum ones.

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/access_graph.hpp"
+#include "core/bounds.hpp"
 #include "core/phase1.hpp"
 #include "core/validate.hpp"
 #include "eval/patterns.hpp"
@@ -17,7 +17,7 @@ const CostModel kM1{1, WrapPolicy::kCyclic};
 
 std::vector<Path> phase1_cover(const AccessSequence& seq,
                                const CostModel& model) {
-  const AccessGraph g(seq, model);
+  const SuffixBounds g(seq, model);
   return compute_min_register_cover(g).cover;
 }
 
@@ -93,7 +93,7 @@ TEST(Merging, PaperExampleKTwoCostsTwo) {
   // single merge costs 2 (merge the singleton (a_7) into either chain);
   // merging the two chains would cost 4.
   const auto seq = AccessSequence::from_offsets({1, 0, 2, -1, 1, 0, -2});
-  const AccessGraph g(seq, kM1);
+  const SuffixBounds g(seq, kM1);
   const Phase1Result phase1 = compute_min_register_cover(g);
   ASSERT_EQ(phase1.cover.size(), 3u);
 

@@ -2,8 +2,8 @@
 // (matching-solvable) cost models — see DESIGN.md section 1.
 #include <gtest/gtest.h>
 
-#include "core/access_graph.hpp"
 #include "core/allocator.hpp"
+#include "core/bounds.hpp"
 #include "core/phase1.hpp"
 #include "eval/patterns.hpp"
 #include "support/rng.hpp"
@@ -24,9 +24,9 @@ TEST(WrapPolicies, AcyclicCostNeverExceedsCyclicForFixedPaths) {
 
 TEST(WrapPolicies, PoliciesShareIntraEdges) {
   const auto seq = AccessSequence::from_offsets({4, -3, 2, 0, 1});
-  const AccessGraph cyclic(seq, CostModel{2, WrapPolicy::kCyclic});
-  const AccessGraph acyclic(seq, CostModel{2, WrapPolicy::kAcyclic});
-  EXPECT_EQ(cyclic.intra().edges(), acyclic.intra().edges());
+  const SuffixBounds cyclic(seq, CostModel{2, WrapPolicy::kCyclic});
+  const SuffixBounds acyclic(seq, CostModel{2, WrapPolicy::kAcyclic});
+  EXPECT_EQ(cyclic.free_intra_edges(), acyclic.free_intra_edges());
 }
 
 class WrapPolicyPropertyTest
@@ -64,10 +64,10 @@ TEST_P(WrapPolicyPropertyTest, AcyclicKTildeBoundsCyclicKTilde) {
   const auto seq = eval::generate_pattern(spec, rng);
   const std::int64_t m = 1 + rng.uniform_int(0, 1);
 
-  const AccessGraph acyclic_graph(seq, CostModel{m, WrapPolicy::kAcyclic});
+  const SuffixBounds acyclic_graph(seq, CostModel{m, WrapPolicy::kAcyclic});
   const Phase1Result acyclic = compute_min_register_cover(acyclic_graph);
 
-  const AccessGraph cyclic_graph(seq, CostModel{m, WrapPolicy::kCyclic});
+  const SuffixBounds cyclic_graph(seq, CostModel{m, WrapPolicy::kCyclic});
   const Phase1Result cyclic = compute_min_register_cover(cyclic_graph);
 
   ASSERT_TRUE(acyclic.k_tilde.has_value());

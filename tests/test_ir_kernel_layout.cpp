@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 #include "ir/kernel.hpp"
@@ -39,6 +40,20 @@ TEST(Kernel, RejectsInvalidConstruction) {
   EXPECT_THROW(k.add_access("missing", 0), dspaddr::InvalidArgument);
   EXPECT_THROW(k.set_data_ops(-1), dspaddr::InvalidArgument);
   EXPECT_THROW(k.array("missing"), dspaddr::InvalidArgument);
+}
+
+TEST(Kernel, BoundsOffsetsStridesAndSizes) {
+  Kernel k("k", "");
+  EXPECT_THROW(k.add_array("big", kMaxMagnitude + 1), dspaddr::InvalidArgument);
+  k.add_array("x", kMaxMagnitude);
+  k.add_access("x", kMaxMagnitude, -kMaxMagnitude);
+  k.add_access("x", -kMaxMagnitude, kMaxMagnitude);
+  EXPECT_THROW(k.add_access("x", kMaxMagnitude + 1), dspaddr::InvalidArgument);
+  EXPECT_THROW(k.add_access("x", 0, -kMaxMagnitude - 1),
+               dspaddr::InvalidArgument);
+  EXPECT_THROW(k.add_access("x", INT64_MIN, INT64_MIN),
+               dspaddr::InvalidArgument);
+  EXPECT_EQ(k.accesses().size(), 2u);
 }
 
 TEST(ArrayLayout, ContiguousPlacesInDeclarationOrder) {

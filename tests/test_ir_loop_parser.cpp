@@ -186,7 +186,23 @@ INSTANTIATE_TEST_SUITE_P(
                       2},
         LoopErrorCase{"trailing input",
                       "int a[4];\nfor (i = 0; i < 2; i++) { a[i]; }\n"
-                      "extra", 3}),
+                      "extra", 3},
+        // Indices and bounds stay inside int64 and ir::kMaxMagnitude.
+        LoopErrorCase{"stride beyond the bound",
+                      "int A[4];\nfor (i = 0; i < 2; i++)\n"
+                      "{ A[4611686018427387904*i]; }", 3},
+        LoopErrorCase{"offset product overflows",
+                      "int A[4];\nfor (i = 2; i < 4; i++)\n"
+                      "{ A[4611686018427387904*i]; }", 3},
+        LoopErrorCase{"index sum overflows",
+                      "int A[4];\nfor (i = 0; i < 2; i++)\n"
+                      "{ A[9223372036854775807 + 1]; }", 3},
+        LoopErrorCase{"number out of range",
+                      "int A[4];\nfor (i = 0; i < 2; i++)\n"
+                      "{ A[99999999999999999999]; }", 3},
+        LoopErrorCase{"iteration count overflows",
+                      "int A[4];\nfor (i = -1; i <= 9223372036854775807; "
+                      "i++) { A[0]; }", 2}),
     [](const ::testing::TestParamInfo<LoopErrorCase>& info) {
       std::string name = info.param.label;
       for (char& c : name) {

@@ -10,8 +10,8 @@
 #include "agu/codegen.hpp"
 #include "agu/simulator.hpp"
 #include "baselines/baselines.hpp"
-#include "core/access_graph.hpp"
 #include "core/allocator.hpp"
+#include "core/bounds.hpp"
 #include "ir/kernels.hpp"
 #include "ir/layout.hpp"
 
@@ -34,9 +34,9 @@ TEST(PaperExample, KernelLowersToFigureOffsets) {
 }
 
 TEST(PaperExample, GraphHasElevenZeroCostEdges) {
-  const core::AccessGraph g(kSeq,
-                            core::CostModel{1, core::WrapPolicy::kCyclic});
-  EXPECT_EQ(g.intra().edge_count(), 11u);
+  const core::SuffixBounds g(kSeq,
+                             core::CostModel{1, core::WrapPolicy::kCyclic});
+  EXPECT_EQ(g.free_intra_edges().size(), 11u);
 }
 
 TEST(PaperExample, NarrativePathIsRealizableByOneRegister) {
@@ -47,12 +47,12 @@ TEST(PaperExample, NarrativePathIsRealizableByOneRegister) {
 }
 
 TEST(PaperExample, KTildeIsTwoAcyclicThreeCyclic) {
-  const core::AccessGraph acyclic(
+  const core::SuffixBounds acyclic(
       kSeq, core::CostModel{1, core::WrapPolicy::kAcyclic});
   EXPECT_EQ(core::compute_min_register_cover(acyclic).k_tilde,
             std::size_t{2});
 
-  const core::AccessGraph cyclic(
+  const core::SuffixBounds cyclic(
       kSeq, core::CostModel{1, core::WrapPolicy::kCyclic});
   EXPECT_EQ(core::compute_min_register_cover(cyclic).k_tilde,
             std::size_t{3});

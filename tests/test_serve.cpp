@@ -306,6 +306,43 @@ TEST(Serve, RejectsOutOfRangeOverrides) {
   }
 }
 
+TEST(Serve, RejectsOffsetsAndStridesBeyondTheKernelBound) {
+  // Lowering and the cost model add offsets and strides in int64, so a
+  // kernel bounds both by ir::kMaxMagnitude (2^31); a value at the
+  // bound still answers.
+  const std::vector<std::string> lines = serve_lines(
+      "{\"kernel\":{\"name\":\"z\",\"iterations\":1000,"
+      "\"arrays\":[{\"name\":\"a\",\"size\":4}],"
+      "\"accesses\":[{\"array\":\"a\",\"offset\":9223372036854775807,"
+      "\"stride\":9223372036854775807}]},\"registers\":1}\n"
+      "{\"kernel\":{\"name\":\"z\",\"iterations\":1000,"
+      "\"arrays\":[{\"name\":\"a\",\"size\":4}],"
+      "\"accesses\":[{\"array\":\"a\",\"offset\":1,"
+      "\"stride\":-2147483649}]},\"registers\":1}\n"
+      "{\"kernel\":{\"name\":\"z\",\"iterations\":1000,"
+      "\"arrays\":[{\"name\":\"a\",\"size\":4}],"
+      "\"accesses\":[{\"array\":\"a\",\"offset\":2147483648,"
+      "\"stride\":-2147483648},{\"array\":\"a\","
+      "\"offset\":-2147483648,\"stride\":2147483648}]},"
+      "\"registers\":1}\n");
+  ASSERT_EQ(lines.size(), 3u);
+  const char* const fields[] = {"offset", "stride"};
+  for (int i = 0; i < 2; ++i) {
+    const JsonValue response = JsonValue::parse(lines[i]);
+    const JsonValue* error = response.find("error");
+    ASSERT_NE(error, nullptr) << lines[i];
+    EXPECT_EQ(error->find("stage")->as_string(), "request");
+    EXPECT_NE(error->find("message")->as_string().find(fields[i]),
+              std::string::npos);
+  }
+  const JsonValue at_bound = JsonValue::parse(lines[2]);
+  ASSERT_EQ(at_bound.find("error"), nullptr) << lines[2];
+  EXPECT_TRUE(at_bound.find("stages")
+                  ->find("simulate")
+                  ->find("verified")
+                  ->as_bool());
+}
+
 TEST(Serve, RejectsPhase2JobsAboveTheCap) {
   // Every phase-2 job is a thread, so the field is capped at a fixed
   // 64. The request stops after lower: it is rejected while it is

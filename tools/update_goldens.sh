@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
-# Regenerates tests/golden/ from the dspaddr CLI and the T1 bench.
+# Regenerates tests/golden/ from the dspaddr CLI and the T1 and T3 benches.
 #
 # The CSV goldens pin the batch CSV schema and the default-path results;
 # the EngineParity tests diff freshly computed sweeps against them byte
 # for byte. t1_random_patterns.txt is the paper's T1 table,
-# solve_hard.jsonl the serve answers to the exact instances of
+# t3_phase1_bounds.txt its T3 table (phase 1's bounds, K~ and search
+# nodes), solve_hard.jsonl the serve answers to the exact instances of
 # workloads/solve_hard.jsonl, compile_stream_head.jsonl the serve
 # answers to the first 200 requests of the benchmark's compile stream
 # (workloads/compile_stream_head.jsonl) and response_shapes.jsonl the
 # serve answers to workloads/response_shapes.jsonl, the rarer response
-# shapes; CI's smoke job compares all four byte for byte. Rerun this script (and eyeball the git diff!)
+# shapes; CI's smoke job compares all five byte for byte. Rerun this script (and eyeball the git diff!)
 # whenever the CSV schema or the default pipeline's numbers
 # intentionally change.
 #
@@ -20,8 +21,9 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$repo/build}"
 dspaddr="$build/dspaddr"
 t1_bench="$build/bench_random_patterns"
+t3_bench="$build/bench_path_cover"
 
-for binary in "$dspaddr" "$t1_bench"; do
+for binary in "$dspaddr" "$t1_bench" "$t3_bench"; do
   if [[ ! -x "$binary" ]]; then
     echo "error: $binary not built (cmake --build $build)" >&2
     exit 1
@@ -64,6 +66,11 @@ done
 # The paper's T1 table: path merging vs the naive allocator (~40 %).
 "$t1_bench" --benchmark_filter=NONE 2>/dev/null \
   > "$repo/tests/golden/t1_random_patterns.txt"
+
+# The paper's T3 table: phase 1's matching bound, K~ and greedy bound,
+# and the exact search's nodes, on uniform patterns.
+"$t3_bench" --benchmark_filter=NONE 2>/dev/null \
+  > "$repo/tests/golden/t3_phase1_bounds.txt"
 
 # The exact search on the benchmark's solve-hard set (the requests of
 # perfbench/workloads.py's hard_set(1)): costs, proofs, bounds and node
