@@ -74,13 +74,13 @@ std::size_t lower_bound_registers(const SuffixBounds& costs) {
   return n - graph::hopcroft_karp(n, n, costs.free_intra_edges()).size;
 }
 
-std::vector<Path> acyclic_optimal_cover(const SuffixBounds& costs) {
+std::vector<Path> acyclic_optimal_cover(
+    const SuffixBounds& costs, const std::vector<SuffixBounds::Edge>& edges) {
   // Fulkerson's reduction: split every access into a left (out) and a
   // right (in) copy; a maximum matching of the free intra edges pairs
   // each matched access with its successor, so N - M paths cover all.
   const std::size_t n = costs.size();
-  const graph::MatchingResult matching =
-      graph::hopcroft_karp(n, n, costs.free_intra_edges());
+  const graph::MatchingResult matching = graph::hopcroft_karp(n, n, edges);
   std::vector<Path> cover;
   for (std::size_t start = 0; start < n; ++start) {
     if (matching.match_right[start] != graph::MatchingResult::kUnmatched) {
@@ -381,6 +381,113 @@ bool ResidualMatching::search_right(std::size_t right) {
     }
   }
   return false;
+}
+
+EntryDuals::EntryDuals(const SuffixBounds& bounds, std::size_t next,
+                       const std::vector<std::size_t>& lasts,
+                       std::size_t unused)
+    : next_(next) {
+  check_arg(bounds.dense(), "EntryDuals: needs dense bounds");
+  const std::size_t n = bounds.size();
+  check_arg(next <= n, "EntryDuals: access index out of range");
+  check_arg(next == n || !lasts.empty() || unused > 0,
+            "EntryDuals: no register can enter the next access");
+  constexpr std::size_t kUnused = ResidualMatching::kNoAccess;
+  const std::size_t rows = n - next;
+  // Columns 1.. are the entries: the open registers' last accesses, U,
+  // then the unused registers. Column 0 is the method's virtual column
+  // that each phase's augmenting path starts from.
+  std::vector<std::size_t> entry{kUnused};
+  for (const std::size_t last : lasts) {
+    check_arg(last < next, "EntryDuals: last access not assigned");
+    entry.push_back(last);
+  }
+  for (std::size_t p = next; p < n; ++p) entry.push_back(p);
+  entry.insert(entry.end(), unused, kUnused);
+  const std::size_t cols = entry.size() - 1;
+  // An assignment through a forbidden entry (p >= q) costs more than
+  // any feasible one (at most one per access), so no optimum uses one.
+  const int forbidden = static_cast<int>(rows) + 1;
+  const auto cost = [&](std::size_t row, std::size_t col) {
+    const std::size_t q = next + row - 1;
+    const std::size_t p = entry[col];
+    if (p == kUnused) return 0;
+    return p < q ? bounds.intra_cost(p, q) : forbidden;
+  };
+
+  // The Hungarian method, one row at a time: a Dijkstra search in
+  // reduced costs for the cheapest augmenting path from the new row,
+  // then the potentials move so the path's edges become tight. owner[c]
+  // is the row assigned to column c (0: none); rows and columns are
+  // numbered from 1.
+  std::vector<int> u(rows + 1, 0);
+  std::vector<int> v(cols + 1, 0);
+  std::vector<int> min_reduced(cols + 1);
+  std::vector<std::size_t> owner(cols + 1, 0);
+  std::vector<std::size_t> way(cols + 1, 0);
+  std::vector<char> reached(cols + 1);
+  for (std::size_t row = 1; row <= rows; ++row) {
+    owner[0] = row;
+    std::size_t col0 = 0;
+    std::fill(min_reduced.begin(), min_reduced.end(),
+              std::numeric_limits<int>::max());
+    std::fill(reached.begin(), reached.end(), 0);
+    do {
+      reached[col0] = 1;
+      const std::size_t row0 = owner[col0];
+      int delta = std::numeric_limits<int>::max();
+      std::size_t col1 = 0;
+      for (std::size_t col = 1; col <= cols; ++col) {
+        if (reached[col] != 0) continue;
+        const int reduced = cost(row0, col) - u[row0] - v[col];
+        if (reduced < min_reduced[col]) {
+          min_reduced[col] = reduced;
+          way[col] = col0;
+        }
+        if (min_reduced[col] < delta) {
+          delta = min_reduced[col];
+          col1 = col;
+        }
+      }
+      for (std::size_t col = 0; col <= cols; ++col) {
+        if (reached[col] != 0) {
+          u[owner[col]] += delta;
+          v[col] -= delta;
+        } else {
+          min_reduced[col] -= delta;
+        }
+      }
+      col0 = col1;
+    } while (owner[col0] != 0);
+    do {
+      const std::size_t col1 = way[col0];
+      owner[col0] = owner[col1];
+      col0 = col1;
+    } while (col0 != 0);
+  }
+
+  // Matched pairs are tight and unmatched columns never moved from 0,
+  // so the duals sum to the assignment's cost.
+  int assigned = 0;
+  int dual_sum = 0;
+  for (std::size_t row = 1; row <= rows; ++row) dual_sum += u[row];
+  rows_.assign(u.begin() + 1, u.end());
+  columns_.assign(n, 0);
+  for (std::size_t col = 1; col <= cols; ++col) {
+    if (owner[col] != 0) assigned += cost(owner[col], col);
+    dual_sum += v[col];
+    if (entry[col] == kUnused) {
+      fresh_.push_back(v[col]);
+    } else {
+      columns_[entry[col]] = v[col];
+    }
+  }
+  check_invariant(assigned < forbidden,
+                  "EntryDuals: an access was assigned a forbidden entry");
+  check_invariant(dual_sum == assigned,
+                  "EntryDuals: the duals do not sum to the optimum");
+  std::sort(fresh_.begin(), fresh_.end());
+  optimum_ = assigned;
 }
 
 }  // namespace dspaddr::core

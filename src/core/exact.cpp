@@ -169,6 +169,11 @@ struct SearchContext {
   /// before the fresh register in register order; true (phase 1) takes
   /// the nearest endpoint first, by |offset distance|, fresh last.
   bool nearest_first = false;
+  /// True when searchers that pass their first 1024-node checkpoint
+  /// add the entry assignment's duals (core::EntryDuals) to their
+  /// bound. Phase 2 only: phase 1's trees, covers and node counts stay
+  /// those of the matching bound.
+  bool entry_duals = false;
   bool has_deadline = false;
   Clock::time_point deadline;
 
@@ -307,6 +312,8 @@ class Searcher {
     frames_.clear();
     arena_.clear();
     aborted_ = false;
+    duals_.reset();
+    duals_tried_ = !(ctx_.entry_duals && use_bound_terms_);
   }
 
   /// Applies a pinned prefix and returns its transition cost.
@@ -328,6 +335,8 @@ class Searcher {
       }
       assignment_[i] = prefix[i];
     }
+    start_next_ = prefix.size();
+    start_used_ = used_count_;
     if (matching_) {
       if (prefix.empty()) {
         matching_->start_at_root();
@@ -355,18 +364,22 @@ class Searcher {
   }
 
   /// Admissible lower bound on partial cost + everything still to pay,
-  /// evaluated from the residual matching and the per-register caches
-  /// alone: an unassigned access that neither opens an unused register
-  /// nor follows a matched free edge pays one.
+  /// evaluated from the residual matching, the entry duals' running sum
+  /// and the per-register caches alone. Intra term: an unassigned
+  /// access that neither opens an unused register nor follows a matched
+  /// free edge pays one, and once built the dual sum bounds the same
+  /// intra cost; the larger counts. Wrap term: each open register that
+  /// can no longer close for free pays one.
   int lower_bound(std::size_t next, int partial) const {
     if (!use_bound_terms_) return partial;
     const std::size_t unassigned = n_ - next;
     const std::size_t free_entries =
         matching_->size() + (ctx_.registers - used_count_);
-    int bound = partial;
-    if (unassigned > free_entries) {
-      bound += static_cast<int>(unassigned - free_entries);
-    }
+    int intra = unassigned > free_entries
+                    ? static_cast<int>(unassigned - free_entries)
+                    : 0;
+    if (duals_) intra = std::max(intra, dual_sum_);
+    int bound = partial + intra;
     for (std::size_t r = 0; r < used_count_; ++r) {
       const RegisterState& s = states_[r];
       if (s.wrap_direct != 0 && next >= s.wrap_horizon) ++bound;
@@ -406,10 +419,11 @@ class Searcher {
                             used_count_, cost, local_cap_hits_);
   }
 
-  /// Per-node accounting: the node cap is exact; the wall clock, the
-  /// cross-task abort flag and the pool's hunger signal are read every
-  /// 1024 nodes.
-  bool count_node() {
+  /// Per-node accounting at the state whose first unassigned access is
+  /// `next`: the node cap is exact; the wall clock, the cross-task abort
+  /// flag and the pool's hunger signal are read every 1024 nodes, and
+  /// the first such checkpoint builds the entry duals.
+  bool count_node(std::size_t next) {
     ++local_nodes_;
     if (flushed_total_ + local_nodes_ > ctx_.max_nodes) {
       abort_solve();
@@ -431,11 +445,41 @@ class Searcher {
         aborted_ = true;
         return false;
       }
+      if (!duals_tried_) build_entry_duals(next);
       if (ctx_.pool != nullptr && ctx_.pool->hungry()) {
         donate_subtrees();
       }
     }
     return true;
+  }
+
+  /// Solves the entry assignment for the run's start state (its pinned
+  /// prefix) and brings the dual sum to the current state by walking
+  /// the moves applied since — done once per run, at its first
+  /// checkpoint, so a solve that ends within 1024 nodes never pays the
+  /// O(|U|^2 * columns) setup. Above EntryDuals::kMaxRows unassigned
+  /// accesses the run keeps the matching bound alone.
+  void build_entry_duals(std::size_t next) {
+    duals_tried_ = true;
+    if (n_ - start_next_ > EntryDuals::kMaxRows) return;
+    // Under the fresh rule register r is the r-th one opened, so the
+    // start state's lasts are indexed by register.
+    std::vector<std::size_t> lasts(start_used_);
+    for (std::size_t i = 0; i < start_next_; ++i) lasts[assignment_[i]] = i;
+    duals_.emplace(ctx_.bounds, start_next_, lasts,
+                   ctx_.registers - start_used_);
+    dual_sum_ = duals_->optimum();
+    for (std::size_t i = start_next_; i < next; ++i) {
+      const std::size_t reg = assignment_[i];
+      if (reg < lasts.size()) {
+        dual_sum_ -= duals_->price(i, lasts[reg], 0);
+        lasts[reg] = i;
+      } else {
+        dual_sum_ -= duals_->price(i, ResidualMatching::kNoAccess,
+                                   lasts.size() - start_used_);
+        lasts.push_back(i);
+      }
+    }
   }
 
   /// Feeds starving workers: scanning from the shallowest frame — the
@@ -505,7 +549,7 @@ class Searcher {
             ctx_.best_cost.load(std::memory_order_relaxed)) {
       return false;
     }
-    if (!count_node()) return false;
+    if (!count_node(next)) return false;
     if (next == n_) {
       record_leaf(cost);
       return false;
@@ -568,9 +612,12 @@ class Searcher {
 
   void apply_move(Frame& frame, const Move& move) {
     RegisterState& state = states_[move.reg];
-    if (matching_) {
-      matching_->assign(move.fresh ? ResidualMatching::kNoAccess
-                                   : state.last);
+    const std::size_t previous_last =
+        move.fresh ? ResidualMatching::kNoAccess : state.last;
+    if (matching_) matching_->assign(previous_last);
+    if (duals_) {
+      dual_sum_ -= duals_->price(frame.next, previous_last,
+                                 used_count_ - start_used_);
     }
     assignment_[frame.next] = move.reg;
     frame.applied_reg = move.reg;
@@ -600,6 +647,13 @@ class Searcher {
     } else {
       state.last = frame.saved_last;
       state.wrap_direct = frame.saved_direct;
+    }
+    if (duals_) {
+      dual_sum_ += duals_->price(frame.next,
+                                 frame.applied_fresh
+                                     ? ResidualMatching::kNoAccess
+                                     : frame.saved_last,
+                                 used_count_ - start_used_);
     }
     frame.has_applied = false;
   }
@@ -642,6 +696,17 @@ class Searcher {
   /// The intra term of lower_bound, kept current by apply_move /
   /// undo_move and rebuilt by replay_prefix (dense bounds only).
   std::optional<ResidualMatching> matching_;
+  /// The run's start state: its first unassigned access and open
+  /// register count.
+  std::size_t start_next_ = 0;
+  std::size_t start_used_ = 0;
+  /// The entry assignment of the start state, once built, and the sum
+  /// of its duals still in the current state's assignment (the second
+  /// intra term of lower_bound), kept current by apply_move /
+  /// undo_move. duals_tried_ is set once the build is done or skipped.
+  std::optional<EntryDuals> duals_;
+  int dual_sum_ = 0;
+  bool duals_tried_ = true;
   std::vector<std::size_t> assignment_;
   std::vector<Frame> frames_;
   std::vector<Move> arena_;
@@ -811,6 +876,7 @@ std::vector<Path> paths_of(const std::vector<std::size_t>& assignment,
 ExactResult run_search(const SuffixBounds& costs, std::size_t registers,
                        const ExactOptions& options) {
   SearchContext ctx(costs, registers, options);
+  ctx.entry_duals = true;
   seed_incumbent_with_greedy_sweep(ctx);
   seed_incumbent_with_warm_start(ctx);
 

@@ -24,16 +24,23 @@
 // window solver (core/tiled.hpp). Four prunings keep the exponential
 // tree tractable:
 //  * an admissible lower bound on the unassigned suffix, maintained
-//    incrementally (core/bounds.hpp). Its intra term is |U| - unused -
-//    M: M is a maximum matching of the free intra edges from the open
-//    registers' last accesses and the unassigned set U into U
-//    (core::ResidualMatching), repaired by at most two augmenting
-//    searches per assign and restored from an undo trail on backtrack.
-//    It dominates charging each access its cheapest incoming edge on
-//    its own, since an access with no free predecessor is never
-//    matched, and at the root it is phase 1's matching bound
-//    max(0, K~acyc - K). Its wrap term caches each open register's wrap
-//    cost and zero-wrap horizon, updated O(1) on assign/undo;
+//    incrementally (core/bounds.hpp), with three terms. The matching
+//    term is |U| - unused - M: M is a maximum matching of the free
+//    intra edges from the open registers' last accesses and the
+//    unassigned set U into U (core::ResidualMatching), repaired by at
+//    most two augmenting searches per assign and restored from an undo
+//    trail on backtrack. At the root it is phase 1's matching bound
+//    max(0, K~acyc - K). The entry term is the sum of the LP duals of
+//    the minimum-cost entry assignment of the search's start state
+//    (core::EntryDuals) still in the current state's assignment: that
+//    optimum is the exact least intra cost of finishing on at most K
+//    registers, and each move drops one row and one column, so the sum
+//    moves by two duals per assign/undo. Phase 2 builds it at a
+//    searcher's first 1024-node checkpoint, when at most
+//    EntryDuals::kMaxRows accesses were unassigned at its start; phase
+//    1 never does. The larger of the two intra terms counts. The wrap
+//    term caches each open register's wrap cost and zero-wrap horizon,
+//    updated O(1) on assign/undo;
 //  * register symmetry breaking: only the lowest-numbered unused
 //    register is ever opened, and extending a register whose (first,
 //    last) accesses are value-identical (same offset and stride) to an

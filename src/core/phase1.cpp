@@ -1,7 +1,9 @@
 #include "core/phase1.hpp"
 
 #include <cstdint>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "core/exact.hpp"
 #include "graph/matching.hpp"
@@ -16,9 +18,11 @@ namespace {
 /// Those successors form a permutation, so a zero-cost cover with any
 /// number of registers needs a perfect matching of the free intra plus
 /// free wrap (last >= first) edges.
-bool admits_zero_cost_cycle_cover(const SuffixBounds& costs) {
+bool admits_zero_cost_cycle_cover(
+    const SuffixBounds& costs,
+    const std::vector<SuffixBounds::Edge>& intra_edges) {
   const std::size_t n = costs.size();
-  std::vector<SuffixBounds::Edge> edges = costs.free_intra_edges();
+  std::vector<SuffixBounds::Edge> edges = intra_edges;
   for (std::size_t last = 0; last < n; ++last) {
     for (std::size_t first = 0; first <= last; ++first) {
       if (costs.wrap_direct(last, first) == 0) {
@@ -41,11 +45,23 @@ Phase1Result compute_min_register_cover(const SuffixBounds& costs) {
     return result;
   }
 
-  result.lower_bound = lower_bound_registers(costs);
+  // The lower bound, the cycle-cover test and the acyclic cover read
+  // the free intra edges. Above kDenseLimit each enumeration sweeps all
+  // N(N-1)/2 pairs through the cost model, so a run enumerates them at
+  // most once, on first use.
+  std::optional<std::vector<SuffixBounds::Edge>> free_edges;
+  const auto edges = [&]() -> const std::vector<SuffixBounds::Edge>& {
+    if (!free_edges.has_value()) free_edges = costs.free_intra_edges();
+    return *free_edges;
+  };
+
+  result.lower_bound = costs.dense()
+                           ? lower_bound_registers(costs)
+                           : n - graph::hopcroft_karp(n, n, edges()).size;
 
   // Under the acyclic model the matching cover is the exact optimum.
   if (costs.model().wrap == WrapPolicy::kAcyclic) {
-    result.cover = acyclic_optimal_cover(costs);
+    result.cover = acyclic_optimal_cover(costs, edges());
     result.k_tilde = result.cover.size();
     result.upper_bound = result.cover.size();
     result.exact = true;
@@ -61,7 +77,8 @@ Phase1Result compute_min_register_cover(const SuffixBounds& costs) {
 
   if (result.k_tilde == result.lower_bound) {
     result.exact = true;
-  } else if (!greedy.has_value() && !admits_zero_cost_cycle_cover(costs)) {
+  } else if (!greedy.has_value() &&
+             !admits_zero_cost_cycle_cover(costs, edges())) {
     // No zero-cost cover at any register count: decided without search.
     result.exact = true;
   } else if (n <= kPhase1SearchAccessLimit) {
@@ -86,7 +103,7 @@ Phase1Result compute_min_register_cover(const SuffixBounds& costs) {
   }
 
   if (!result.k_tilde.has_value()) {
-    result.cover = acyclic_optimal_cover(costs);
+    result.cover = acyclic_optimal_cover(costs, edges());
   }
   return result;
 }

@@ -1,16 +1,21 @@
 // The phase-2 bounds: the residual matching that the exact search keeps
-// current at every node, and the root bound it starts from. The
-// incremental repair is checked against a from-scratch Hopcroft-Karp
-// matching of the same residual graph after every assign and undo.
+// current at every node, the root bound it starts from, and the entry
+// assignment's duals. The incremental repair is checked against a
+// from-scratch Hopcroft-Karp matching of the same residual graph after
+// every assign and undo; the entry assignment's optimum against a
+// brute-force enumeration of the completions, and the running dual sum
+// against the proven cost of the pinned completion.
 #include "core/bounds.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
+#include "core/exact.hpp"
 #include "graph/matching.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -29,9 +34,8 @@ struct Body {
   CostModel model;
 };
 
-Body random_body(support::Rng& rng) {
-  const std::size_t n =
-      rng.bernoulli(0.25) ? 65 + rng.index(100) : 2 + rng.index(24);
+/// A random body of `n` accesses.
+Body random_body_of_size(support::Rng& rng, std::size_t n) {
   const std::int64_t range = rng.uniform_int(3, 12);
   std::vector<ir::Access> accesses(n);
   const bool mixed = rng.bernoulli(0.3);
@@ -43,9 +47,20 @@ Body random_body(support::Rng& rng) {
   for (std::int64_t w = rng.uniform_int(0, 2); w > 0; --w) {
     widths.push_back(rng.uniform_int(-6, 6));
   }
-  CostModel model(-rng.uniform_int(0, 2), rng.uniform_int(0, 2),
-                  std::move(widths));
+  // Upper bound first, as GCC evaluated the two draws when they were
+  // arguments of one call: the same seed draws the same body on every
+  // compiler.
+  const std::int64_t hi = rng.uniform_int(0, 2);
+  const std::int64_t lo = -rng.uniform_int(0, 2);
+  CostModel model(lo, hi, std::move(widths));
   return Body{AccessSequence(std::move(accesses)), model};
+}
+
+/// A random body of 2 to 25 accesses, or of 65 to 164.
+Body random_body(support::Rng& rng) {
+  const std::size_t n =
+      rng.bernoulli(0.25) ? 65 + rng.index(100) : 2 + rng.index(24);
+  return random_body_of_size(rng, n);
 }
 
 /// Maximum matching of the residual graph by Hopcroft-Karp: left
@@ -218,6 +233,222 @@ TEST(ResidualMatching, RejectsSparseBounds) {
                             CostModel{1});
   ASSERT_FALSE(bounds.dense());
   EXPECT_THROW(ResidualMatching{bounds}, dspaddr::InvalidArgument);
+}
+
+/// A partial assignment of a body's first accesses: the register of
+/// each (under the fresh rule, register r opens after registers
+/// 0..r-1), and per open register its first and last access.
+struct Prefix {
+  std::vector<std::size_t> registers;
+  std::vector<std::size_t> firsts;
+  std::vector<std::size_t> lasts;
+
+  /// Assigns the next access to register `reg` (lasts.size() opens
+  /// one) and returns the intra cost of that move.
+  int assign(std::size_t reg, const AccessSequence& seq,
+             const CostModel& model) {
+    const std::size_t access = registers.size();
+    registers.push_back(reg);
+    if (reg == lasts.size()) {
+      firsts.push_back(access);
+      lasts.push_back(access);
+      return 0;
+    }
+    const int cost = intra_transition_cost(seq, lasts[reg], access, model);
+    lasts[reg] = access;
+    return cost;
+  }
+};
+
+/// Extends `prefix` by `count` random fresh-rule moves onto at most
+/// `registers` registers; returns their intra cost.
+int extend_randomly(Prefix& prefix, std::size_t count, std::size_t registers,
+                    const AccessSequence& seq, const CostModel& model,
+                    support::Rng& rng) {
+  int cost = 0;
+  for (; count > 0; --count) {
+    const std::size_t open = prefix.lasts.size();
+    cost += prefix.assign(rng.index(std::min(open + 1, registers)), seq, model);
+  }
+  return cost;
+}
+
+/// Brute force: the least intra cost of the transitions into accesses
+/// [next, N) over every completion of the state whose open registers
+/// end at `lasts` and that may still open `unused` registers.
+int min_completion_intra_cost(const AccessSequence& seq,
+                              const CostModel& model, std::size_t next,
+                              std::vector<std::size_t>& lasts,
+                              std::size_t unused) {
+  if (next == seq.size()) return 0;
+  int best = std::numeric_limits<int>::max();
+  // By index: the deeper calls push onto `lasts`.
+  for (std::size_t r = 0, open = lasts.size(); r < open; ++r) {
+    const std::size_t previous = lasts[r];
+    lasts[r] = next;
+    const int rest =
+        min_completion_intra_cost(seq, model, next + 1, lasts, unused);
+    best = std::min(best, intra_transition_cost(seq, previous, next, model) +
+                              rest);
+    lasts[r] = previous;
+  }
+  if (unused > 0) {
+    lasts.push_back(next);
+    best = std::min(best, min_completion_intra_cost(seq, model, next + 1,
+                                                    lasts, unused - 1));
+    lasts.pop_back();
+  }
+  return best;
+}
+
+class EntryDualsTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(EntryDualsTest, OptimumIsTheLeastIntraCostOfAnyCompletion) {
+  // Bodies of at most nine accesses with random windows, free widths
+  // and mixed strides, K = 1..4, at the empty prefix and at random
+  // pinned prefixes: the assignment's optimum is the brute-force least
+  // intra cost of finishing on at most K registers, its duals sum to
+  // it, and every column dual is at most 0.
+  support::Rng rng(GetParam() * 7919 + 29);
+  for (int draw = 0; draw < 10; ++draw) {
+    const auto [seq, model] = random_body_of_size(rng, 1 + rng.index(9));
+    const std::size_t n = seq.size();
+    const std::size_t registers = 1 + rng.index(4);
+    const SuffixBounds bounds(seq, model);
+    Prefix prefix;
+    if (rng.bernoulli(0.5)) {
+      extend_randomly(prefix, rng.index(n + 1), registers, seq, model, rng);
+    }
+    const std::size_t next = prefix.registers.size();
+    const std::size_t unused = registers - prefix.lasts.size();
+    SCOPED_TRACE(::testing::Message() << "draw " << draw << ", N " << n
+                                      << ", K " << registers << ", next "
+                                      << next);
+    const EntryDuals duals(bounds, next, prefix.lasts, unused);
+    std::vector<std::size_t> lasts = prefix.lasts;
+    EXPECT_EQ(duals.optimum(),
+              min_completion_intra_cost(seq, model, next, lasts, unused));
+
+    int dual_sum = 0;
+    for (std::size_t q = next; q < n; ++q) dual_sum += duals.row(q);
+    for (const std::size_t last : prefix.lasts) {
+      EXPECT_LE(duals.column(last), 0);
+      dual_sum += duals.column(last);
+    }
+    for (std::size_t p = next; p < n; ++p) {
+      EXPECT_LE(duals.column(p), 0);
+      dual_sum += duals.column(p);
+    }
+    for (std::size_t k = 0; k < unused; ++k) {
+      EXPECT_LE(duals.fresh(k), 0);
+      if (k > 0) EXPECT_LE(duals.fresh(k - 1), duals.fresh(k));
+      dual_sum += duals.fresh(k);
+    }
+    EXPECT_EQ(dual_sum, duals.optimum());
+  }
+}
+
+TEST_P(EntryDualsTest, RunningDualSumIsAdmissibleBelowTheSolvedState) {
+  // The search's use of the duals: solved at a start state (the empty
+  // prefix or a random pinned one) and walked by price() along random
+  // further moves, the running sum is the sum of the duals the deeper
+  // state keeps, it never exceeds the brute-force least intra cost
+  // still to pay, and partial + dual sum + wrap term never exceeds the
+  // proven cost of the deeper pinned prefix.
+  support::Rng rng(GetParam() * 4243 + 61);
+  for (int draw = 0; draw < 10; ++draw) {
+    const auto [seq, model] = random_body_of_size(rng, 1 + rng.index(9));
+    const std::size_t n = seq.size();
+    const std::size_t registers = 1 + rng.index(4);
+    const SuffixBounds bounds(seq, model);
+    Prefix prefix;
+    int partial = 0;
+    if (rng.bernoulli(0.5)) {
+      partial = extend_randomly(prefix, rng.index(n + 1), registers, seq,
+                                model, rng);
+    }
+    const std::size_t start = prefix.registers.size();
+    const std::size_t opened_at_start = prefix.lasts.size();
+    const EntryDuals duals(bounds, start, prefix.lasts,
+                           registers - opened_at_start);
+    int dual_sum = duals.optimum();
+    for (std::size_t i = rng.index(n - start + 1); i > 0; --i) {
+      const std::size_t access = prefix.registers.size();
+      const std::size_t reg =
+          rng.index(std::min(prefix.lasts.size() + 1, registers));
+      dual_sum -= duals.price(
+          access,
+          reg == prefix.lasts.size() ? ResidualMatching::kNoAccess
+                                     : prefix.lasts[reg],
+          prefix.lasts.size() - opened_at_start);
+      partial += prefix.assign(reg, seq, model);
+    }
+    const std::size_t next = prefix.registers.size();
+    int wrap_term = 0;
+    for (std::size_t r = 0; r < prefix.lasts.size(); ++r) {
+      if (bounds.wrap_direct(prefix.lasts[r], prefix.firsts[r]) != 0 &&
+          next >= bounds.wrap_zero_horizon(prefix.firsts[r])) {
+        ++wrap_term;
+      }
+    }
+    SCOPED_TRACE(::testing::Message() << "draw " << draw << ", N " << n
+                                      << ", K " << registers << ", start "
+                                      << start << ", next " << next);
+    // The running sum is the sum of the duals the deeper state keeps:
+    // its unassigned accesses' rows and columns, its open registers'
+    // last accesses and the unused registers' columns not yet opened,
+    // the least negative ones.
+    int kept = 0;
+    for (std::size_t q = next; q < n; ++q) {
+      kept += duals.row(q) + duals.column(q);
+    }
+    for (const std::size_t last : prefix.lasts) kept += duals.column(last);
+    for (std::size_t k = prefix.lasts.size() - opened_at_start;
+         k < registers - opened_at_start; ++k) {
+      kept += duals.fresh(k);
+    }
+    EXPECT_EQ(dual_sum, kept);
+    std::vector<std::size_t> lasts = prefix.lasts;
+    EXPECT_LE(dual_sum,
+              min_completion_intra_cost(seq, model, next, lasts,
+                                        registers - prefix.lasts.size()));
+    ExactOptions pinned;
+    pinned.pinned_prefix = prefix.registers;
+    const ExactResult exact =
+        exact_min_cost_allocation(seq, model, registers, pinned);
+    ASSERT_TRUE(exact.proven);
+    EXPECT_LE(partial + dual_sum + wrap_term, exact.cost);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSeeds, EntryDualsTest,
+                         ::testing::Range<std::uint64_t>(0, 40));
+
+TEST(EntryDuals, SmallBodiesHaveKnownOptima) {
+  // 0 -> 1 -> 2 is one free chain, so one register finishes for free
+  // and the optimum is 0. With no register at all to open, access 0 has
+  // no entry.
+  const auto seq = AccessSequence::from_offsets({0, 1, 2});
+  const SuffixBounds bounds(seq, CostModel{1});
+  const EntryDuals duals(bounds, 0, {}, 1);
+  EXPECT_EQ(duals.optimum(), 0);
+  EXPECT_THROW(EntryDuals(bounds, 0, {}, 0), dspaddr::InvalidArgument);
+  // Two unit jumps 0 -> 5 -> 10 on one register cost 2; a second
+  // register saves one of them.
+  const auto jumps = AccessSequence::from_offsets({0, 5, 10});
+  const SuffixBounds jump_bounds(jumps, CostModel{1});
+  EXPECT_EQ(EntryDuals(jump_bounds, 0, {}, 1).optimum(), 2);
+  EXPECT_EQ(EntryDuals(jump_bounds, 0, {}, 2).optimum(), 1);
+  EXPECT_EQ(EntryDuals(jump_bounds, 1, {0}, 0).optimum(), 2);
+  EXPECT_EQ(EntryDuals(jump_bounds, 1, {0}, 2).optimum(), 0);
+}
+
+TEST(EntryDuals, RejectsSparseBounds) {
+  std::vector<ir::Access> accesses(SuffixBounds::kDenseLimit + 1);
+  const SuffixBounds bounds(AccessSequence(std::move(accesses)),
+                            CostModel{1});
+  EXPECT_THROW(EntryDuals(bounds, SuffixBounds::kDenseLimit, {0}, 0),
+               dspaddr::InvalidArgument);
 }
 
 }  // namespace

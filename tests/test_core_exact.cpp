@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/allocator.hpp"
+#include "core/bounds.hpp"
 #include "core/transposition_table.hpp"
 #include "core/validate.hpp"
 #include "eval/patterns.hpp"
@@ -236,18 +237,19 @@ struct TablePin {
 };
 
 TEST(ExactAllocator, DominanceTablePruningIsPinned) {
-  // Node counts and cap refusals of the sequential search, pinned at
-  // the unordered_map table the flat one replaced: a key collision, a
-  // missed revisit or a misplaced cap would move them. K = 9 runs with
-  // dominance off; table_cap = 4 saturates at once.
+  // Node counts and cap refusals of the sequential search: a key
+  // collision, a missed revisit or a misplaced cap would move them.
+  // Pinned at the unordered_map table the flat one replaced, then
+  // re-pinned (costs unchanged) when the entry duals joined the bound.
+  // K = 9 runs with dominance off; table_cap = 4 saturates at once.
   const TablePin pins[] = {
       {201, 40, 10, 1, 0, 35, 34, 0},
-      {208, 32, 12, 2, 0, 19, 3'057, 0},
-      {203, 28, 10, 3, 0, 10, 16'793, 0},
-      {204, 30, 10, 4, 0, 10, 19'880, 0},
+      {208, 32, 12, 2, 0, 19, 1'207, 0},
+      {203, 28, 10, 3, 0, 10, 2'606, 0},
+      {204, 30, 10, 4, 0, 10, 10'610, 0},
       {212, 34, 24, 8, 0, 12, 3'011, 0},
       {211, 26, 20, 9, 0, 4, 4'239, 0},
-      {207, 26, 10, 3, 4, 12, 27'233, 27'224},
+      {207, 26, 10, 3, 4, 12, 9'763, 9'754},
   };
   for (const TablePin& pin : pins) {
     support::Rng rng(pin.seed);
@@ -433,8 +435,12 @@ TEST_P(ExactPropertyTest, MatchesBruteForceEnumeration) {
       for (std::int64_t w = rng.uniform_int(0, 2); w > 0; --w) {
         widths.push_back(rng.uniform_int(-6, 6));
       }
-      model = CostModel(-rng.uniform_int(0, 2), rng.uniform_int(0, 2),
-                        std::move(widths), wrap);
+      // Upper bound first, as GCC evaluated the two draws when they
+      // were arguments of one call: the same seed draws the same body
+      // on every compiler.
+      const std::int64_t hi = rng.uniform_int(0, 2);
+      const std::int64_t lo = -rng.uniform_int(0, 2);
+      model = CostModel(lo, hi, std::move(widths), wrap);
     }
     ExactOptions options;
     if (rng.bernoulli(0.5)) {
@@ -522,6 +528,132 @@ TEST_P(ExactPropertyTest, PrunedSearchAgreesWithLegacyDfs) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, ExactPropertyTest,
                          ::testing::Range<std::uint64_t>(0, 30));
+
+/// Oracle for bodies too long for brute_force_min_cost: a depth-first
+/// enumeration of the fresh-rule assignments that agree with `pinned`,
+/// cut only where the partial cost alone reaches the best leaf. It
+/// reads the cost model and nothing of the search's bounds.
+struct Enumeration {
+  const AccessSequence& seq;
+  const CostModel& model;
+  std::size_t registers;
+  const std::vector<std::size_t>& pinned;
+  std::vector<std::size_t> firsts;
+  std::vector<std::size_t> lasts;
+  int best = std::numeric_limits<int>::max();
+
+  void extend(std::size_t access, int cost) {
+    if (cost >= best) return;
+    if (access == seq.size()) {
+      for (std::size_t r = 0; r < firsts.size(); ++r) {
+        cost += wrap_transition_cost(seq, lasts[r], firsts[r], model);
+      }
+      best = std::min(best, cost);
+      return;
+    }
+    const bool is_pinned = access < pinned.size();
+    const std::size_t top = std::min(firsts.size(), registers - 1);
+    for (std::size_t r = is_pinned ? pinned[access] : 0;
+         r <= (is_pinned ? pinned[access] : top); ++r) {
+      if (r == firsts.size()) {
+        firsts.push_back(access);
+        lasts.push_back(access);
+        extend(access + 1, cost);
+        firsts.pop_back();
+        lasts.pop_back();
+      } else {
+        const std::size_t previous = lasts[r];
+        lasts[r] = access;
+        extend(access + 1,
+               cost + intra_transition_cost(seq, previous, access, model));
+        lasts[r] = previous;
+      }
+    }
+  }
+};
+
+int enumerated_min_cost(const AccessSequence& seq, const CostModel& model,
+                        std::size_t registers,
+                        const std::vector<std::size_t>& pinned) {
+  Enumeration enumeration{seq, model, registers, pinned, {}, {}};
+  enumeration.extend(0, 0);
+  return enumeration.best;
+}
+
+TEST(ExactAllocator, EntryDualsBuiltAtTheFirstCheckpointKeepTheOptimum) {
+  // Bodies of 14 to 16 accesses whose search runs past its first
+  // 1024-node checkpoint, where it solves the entry assignment for its
+  // start state and walks the dual sum down the current path. Some
+  // start from a pinned prefix. The proven cost is the enumerated
+  // optimum, sequentially and at jobs = 2.
+  for (const std::uint64_t seed : {170, 351, 364, 422, 474, 1228, 1894,
+                                   1908, 1910, 1924, 2087, 2339, 2821}) {
+    support::Rng rng(seed * 31 + 7);
+    eval::PatternSpec spec;
+    spec.accesses = 14 + rng.index(3);
+    spec.offset_range = static_cast<std::int64_t>(5 + rng.index(8));
+    spec.family = static_cast<eval::PatternFamily>(seed % 4);
+    const auto seq = eval::generate_pattern(spec, rng);
+    const std::size_t k = 3 + rng.index(2);
+    ExactOptions options;
+    if (rng.bernoulli(0.5)) {
+      std::size_t opened = 0;
+      for (std::size_t i = 1 + rng.index(3); i > 0; --i) {
+        const std::size_t reg = rng.index(std::min(opened + 1, k));
+        if (reg == opened) ++opened;
+        options.pinned_prefix.push_back(reg);
+      }
+    }
+    SCOPED_TRACE(::testing::Message()
+                 << "seed " << seed << ", N " << seq.size() << ", K " << k
+                 << ", pinned " << options.pinned_prefix.size());
+    const ExactResult r = exact_min_cost_allocation(seq, kM1, k, options);
+    ASSERT_TRUE(r.proven);
+    EXPECT_GT(r.nodes, 1024u);
+    EXPECT_EQ(r.cost,
+              enumerated_min_cost(seq, kM1, k, options.pinned_prefix));
+    EXPECT_EQ(total_cost(seq, r.paths, kM1), r.cost);
+
+    options.jobs = 2;
+    const ExactResult parallel =
+        exact_min_cost_allocation(seq, kM1, k, options);
+    ASSERT_TRUE(parallel.proven);
+    EXPECT_EQ(parallel.cost, r.cost);
+  }
+}
+
+TEST(ExactAllocator, EntryDualsStopAboveTheirSizeLimit) {
+  // A 140-access sorted-noise body at K = 2, pinned so that kMaxRows +
+  // 1 accesses stay unassigned, keeps the matching bound alone: it
+  // walks the tree the search walked before the entry duals existed
+  // (22,729 nodes). With one access fewer to assign the run builds
+  // them and proves the same cost in 4,701 nodes (21,127 before).
+  static_assert(EntryDuals::kMaxRows == 128,
+                "the node counts below are pinned at kMaxRows = 128");
+  support::Rng rng(575);
+  eval::PatternSpec spec;
+  spec.accesses = 129 + rng.index(12);
+  spec.offset_range = static_cast<std::int64_t>(2 + rng.index(6));
+  spec.family = eval::PatternFamily::kSortedNoise;
+  const auto seq = eval::generate_pattern(spec, rng);
+  const std::size_t k = 2 + rng.index(3);
+  ASSERT_EQ(seq.size(), 140u);
+  ASSERT_EQ(k, 2u);
+
+  ExactOptions above;
+  above.pinned_prefix.assign(seq.size() - (EntryDuals::kMaxRows + 1), 0);
+  const ExactResult skipped = exact_min_cost_allocation(seq, kM1, k, above);
+  ASSERT_TRUE(skipped.proven);
+  EXPECT_EQ(skipped.cost, 13);
+  EXPECT_EQ(skipped.nodes, 22'729u);
+
+  ExactOptions at_limit;
+  at_limit.pinned_prefix.assign(seq.size() - EntryDuals::kMaxRows, 0);
+  const ExactResult built = exact_min_cost_allocation(seq, kM1, k, at_limit);
+  ASSERT_TRUE(built.proven);
+  EXPECT_EQ(built.cost, 13);
+  EXPECT_EQ(built.nodes, 4'701u);
+}
 
 }  // namespace
 }  // namespace dspaddr::core

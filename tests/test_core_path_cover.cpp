@@ -19,7 +19,8 @@ const CostModel kM1{1, WrapPolicy::kAcyclic};
 
 TEST(PathCover, ChainIsOnePath) {
   const SuffixBounds costs(AccessSequence::from_offsets({0, 1, 2, 3}), kM1);
-  const std::vector<Path> cover = acyclic_optimal_cover(costs);
+  const std::vector<Path> cover =
+      acyclic_optimal_cover(costs, costs.free_intra_edges());
   ASSERT_EQ(cover.size(), 1u);
   EXPECT_EQ(cover[0].indices(), (std::vector<std::size_t>{0, 1, 2, 3}));
 }
@@ -27,7 +28,8 @@ TEST(PathCover, ChainIsOnePath) {
 TEST(PathCover, AntichainNeedsOnePathPerNode) {
   const auto seq = AccessSequence::from_offsets({0, 10, 20, 30, 40});
   const SuffixBounds costs(seq, kM1);
-  EXPECT_EQ(acyclic_optimal_cover(costs).size(), 5u);
+  EXPECT_EQ(acyclic_optimal_cover(costs, costs.free_intra_edges()).size(),
+            5u);
 }
 
 TEST(PathCover, DiamondNeedsTwoPaths) {
@@ -36,14 +38,16 @@ TEST(PathCover, DiamondNeedsTwoPaths) {
   const auto seq = AccessSequence::from_offsets({0, 1, 3, 4});
   const SuffixBounds costs(seq, CostModel(0, 0, {1, 3}, WrapPolicy::kAcyclic));
   ASSERT_EQ(costs.free_intra_edges(), (Edges{{0, 1}, {0, 2}, {1, 3}, {2, 3}}));
-  EXPECT_EQ(acyclic_optimal_cover(costs).size(), 2u);
+  EXPECT_EQ(acyclic_optimal_cover(costs, costs.free_intra_edges()).size(),
+            2u);
 }
 
 TEST(PathCover, TwoIndependentChains) {
   const auto seq = AccessSequence::from_offsets({0, 10, 1, 11, 2, 12});
   const SuffixBounds costs(seq, kM1);
   ASSERT_EQ(costs.free_intra_edges(), (Edges{{0, 2}, {1, 3}, {2, 4}, {3, 5}}));
-  EXPECT_EQ(acyclic_optimal_cover(costs).size(), 2u);
+  EXPECT_EQ(acyclic_optimal_cover(costs, costs.free_intra_edges()).size(),
+            2u);
 }
 
 TEST(ValidatePathCover, AcceptsValidCover) {
@@ -132,7 +136,8 @@ TEST_P(PathCoverPropertyTest, MatchesBruteForceOnRandomDags) {
   const std::int64_t hi = rng.uniform_int(0, 1);
   const CostModel model(lo, hi, std::move(widths), WrapPolicy::kAcyclic);
   const SuffixBounds costs(AccessSequence(std::move(accesses)), model);
-  const std::vector<Path> cover = acyclic_optimal_cover(costs);
+  const std::vector<Path> cover =
+      acyclic_optimal_cover(costs, costs.free_intra_edges());
   validate_path_cover(costs, cover);
   EXPECT_EQ(cover.size(), brute_force_cover(costs));
   EXPECT_EQ(cover.size(), lower_bound_registers(costs));

@@ -12,7 +12,9 @@
 # serve answers to workloads/response_shapes.jsonl, the rarer response
 # shapes; CI's smoke job compares all five byte for byte. Rerun this script (and eyeball the git diff!)
 # whenever the CSV schema or the default pipeline's numbers
-# intentionally change.
+# intentionally change. Under the diff stat it prints, for each answer
+# golden, tools/diff_answers.py's verdict against the committed version:
+# whether anything beyond phase-2 node counts moved.
 #
 # usage: tools/update_goldens.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -99,3 +101,17 @@ serve_binary="$(cd "$(dirname "$dspaddr")" && pwd)/dspaddr"
 
 echo "regenerated:"
 git -C "$repo" --no-pager diff --stat -- tests/golden || true
+
+# Each answer golden against its committed version, phase-2 node counts
+# aside: a change to the search's pruning may move those and nothing
+# else.
+committed="$(mktemp -d)"
+trap 'rm -rf "$committed"' EXIT
+for golden in "$repo"/tests/golden/*.jsonl; do
+  name="$(basename "$golden")"
+  git -C "$repo" show "HEAD:tests/golden/$name" > "$committed/$name" \
+    2>/dev/null || continue
+  echo "$name:"
+  python3 "$repo/tools/diff_answers.py" "$committed/$name" "$golden" \
+    | sed 's/^/  /' || true
+done
