@@ -70,10 +70,6 @@ Allocation RegisterAllocator::run(const ir::AccessSequence& seq) const {
   const CostModel model = config_.cost_model();
   AllocationStats stats;
 
-  if (seq.empty()) {
-    return Allocation(seq, model, {}, stats);
-  }
-
   // One step-cost table serves the whole request: phase 1's questions,
   // the merger and the phase-2 solve read it.
   const SuffixBounds costs(seq, model);

@@ -159,9 +159,19 @@ SuffixBounds::SuffixBounds(const ir::AccessSequence& seq,
   words_ = (n + 63) / 64;
   successors_.assign(n * words_, 0);
   predecessors_.assign(n * words_, 0);
+  free_successor_horizon_.assign(n, 0);
+  paid_successor_horizon_.assign(n, 0);
+  value_class_.resize(n);
+  for (std::size_t j = 0; j < n; ++j) value_class_[j] = j;
   for (std::size_t p = 0; p < n; ++p) {
     for (std::size_t j = p + 1; j < n; ++j) {
-      if (intra_transition_cost(seq_, p, j, model_) != 0) continue;
+      // p runs upward, so the first match is the smallest index.
+      if (value_class_[j] == j && seq_[p] == seq_[j]) value_class_[j] = p;
+      if (intra_transition_cost(seq_, p, j, model_) != 0) {
+        paid_successor_horizon_[p] = j + 1;
+        continue;
+      }
+      free_successor_horizon_[p] = j + 1;
       successors_[p * words_ + j / 64] |= bit(j);
       predecessors_[j * words_ + p / 64] |= bit(p);
     }
@@ -173,9 +183,13 @@ SuffixBounds::SuffixBounds(const ir::AccessSequence& seq,
 
   wrap_free_.assign(n * words_, 0);
   wrap_zero_horizon_.assign(n, 0);
+  wrap_paid_horizon_.assign(n, 0);
   for (std::size_t l = 0; l < n; ++l) {
     for (std::size_t f = 0; f < n; ++f) {
-      if (wrap_transition_cost(seq_, l, f, model_) != 0) continue;
+      if (wrap_transition_cost(seq_, l, f, model_) != 0) {
+        wrap_paid_horizon_[f] = l + 1;
+        continue;
+      }
       wrap_free_[l * words_ + f / 64] |= bit(f);
       wrap_zero_horizon_[f] = l + 1;
     }

@@ -5,11 +5,13 @@
 //
 // * SuffixBounds: the request's zero-cost graph G = (V, E) (paper
 //   section 2, Fig. 1) and its step costs, tabulated once per request
-//   — bitset rows of the free intra edges and of the free wraps, each
-//   access's zero-wrap horizon and the root matching — and the
-//   admissible bounds they give on the cost still to be paid by a
-//   partial assignment. Phase 1, the merger and the phase-2 solve all
-//   read one table instead of calling the cost model.
+//   — bitset rows of the free intra edges and of the free wraps, the
+//   root matching, and per access its value class and the horizons
+//   past which its wraps in and steps out are all free or all paid —
+//   and the admissible bounds they give on the cost still to be paid
+//   by a partial assignment. Phase 1, the merger and the phase-2 solve
+//   all read one table instead of calling the cost model; the exact
+//   search's dominance key (register_key) reads the per-access arrays.
 // * Lower bound: the minimum path cover of the free intra edges (a DAG:
 //   every edge runs forward), N minus their maximum bipartite matching
 //   — the technique of Araujo et al. [2]. Every zero-cost cover under
@@ -140,8 +142,42 @@ class SuffixBounds {
   /// zero-cost final access exists for `first`; SIZE_MAX under the
   /// trivial bounds (the floor is always 0 there). Unchecked.
   std::size_t wrap_zero_horizon(std::size_t first) const {
-    if (!dense_) return static_cast<std::size_t>(-1);
+    if (!dense_) return kNever;
     return wrap_zero_horizon_[first];
+  }
+
+  /// One past the largest access j with wrap_direct(j, first) != 0: from
+  /// this access on every wrap into `first` is free. 0 when none pays;
+  /// SIZE_MAX under the trivial bounds. Unchecked.
+  std::size_t wrap_paid_horizon(std::size_t first) const {
+    if (!dense_) return kNever;
+    return wrap_paid_horizon_[first];
+  }
+
+  /// One past the largest access q > last with intra_cost(last, q) == 0:
+  /// from this access on no step out of `last` is free. 0 when none is;
+  /// SIZE_MAX under the trivial bounds. Unchecked.
+  std::size_t free_successor_horizon(std::size_t last) const {
+    if (!dense_) return kNever;
+    return free_successor_horizon_[last];
+  }
+
+  /// One past the largest access q > last with intra_cost(last, q) != 0:
+  /// from this access on every step out of `last` is free. 0 when none
+  /// pays; SIZE_MAX under the trivial bounds. Unchecked.
+  std::size_t paid_successor_horizon(std::size_t last) const {
+    if (!dense_) return kNever;
+    return paid_successor_horizon_[last];
+  }
+
+  /// The smallest access index with the same offset and stride as
+  /// `access`. Every step and wrap cost depends on an access only
+  /// through its offset and stride, so an access and its class cost the
+  /// same everywhere. The access itself under the trivial bounds.
+  /// Unchecked.
+  std::size_t value_class(std::size_t access) const {
+    if (!dense_) return access;
+    return value_class_[access];
   }
 
   /// C(P) (core::path_cost) of a path over this sequence.
@@ -155,6 +191,9 @@ class SuffixBounds {
 
  private:
   friend class ResidualMatching;
+
+  /// The horizon of a cost that is never uniform (trivial bounds).
+  static constexpr std::size_t kNever = static_cast<std::size_t>(-1);
 
   static bool has_bit(const std::uint64_t* row, std::size_t index) {
     return ((row[index / 64] >> (index % 64)) & 1) != 0;
@@ -171,14 +210,68 @@ class SuffixBounds {
   /// Row `last` has bit `first` set iff the wrap last -> first is free.
   std::vector<std::uint64_t> wrap_free_;
   /// wrap_zero_horizon_[f] = 1 + max{j : wrap j -> f is free}, or 0
-  /// when no zero-cost final access exists.
+  /// when no zero-cost final access exists; wrap_paid_horizon_ the same
+  /// over the paid wraps.
   std::vector<std::size_t> wrap_zero_horizon_;
+  std::vector<std::size_t> wrap_paid_horizon_;
+  /// free_successor_horizon_[p] = 1 + max{q > p : p -> q is free}, or 0;
+  /// paid_successor_horizon_ the same over the paid steps.
+  std::vector<std::size_t> free_successor_horizon_;
+  std::vector<std::size_t> paid_successor_horizon_;
+  std::vector<std::size_t> value_class_;
   /// The maximum matching of the free intra edges over all accesses
   /// (ResidualMatching's partner slots) and its size: every solve
   /// without a pinned prefix starts from it.
   std::vector<std::uint32_t> root_partner_;
   std::size_t root_matching_ = 0;
 };
+
+/// Sentinel values a register_key() word may take beyond the access
+/// indices: FREE(0), FREE(1), PAID(0) and PAID(1).
+constexpr std::size_t kKeySentinels = 4;
+
+/// One used register's word of the exact search's dominance key
+/// (core/exact.hpp) at the state whose first unassigned access is
+/// `next`: first_word << 32 | last_word for the register's accesses
+/// `first` .. `last`, with `wrap` = wrap_direct(last, first). An
+/// endpoint's word is its value_class(), or a sentinel once every cost
+/// still ahead of it is the same: FREE(wrap) = N + wrap and PAID(wrap) =
+/// N + 2 + wrap, all below N + kKeySentinels.
+///  * `first` is FREE when every wrap j -> first with j >= next is free,
+///    PAID when none is;
+///  * `last` is FREE when every step last -> q with q >= next is free,
+///    PAID when none is.
+///
+/// Why equal keys have equal completion costs: a register that stays
+/// where it is pays `wrap`. Otherwise it pays intra_cost(last, q1), the
+/// steps among later accesses and wrap_direct(final, first), with q1
+/// and final both >= next. Each word fixes the term of its endpoint —
+/// the class prices every step and wrap like the access, a sentinel
+/// states the one cost left and carries `wrap` — and the later
+/// accesses are the same in both states. So two states with the same
+/// next and the same multiset of words (registers are interchangeable
+/// under the fresh rule) map each other's completions one to one at
+/// equal cost.
+inline std::uint64_t register_key(const SuffixBounds& bounds,
+                                  std::size_t next, std::size_t first,
+                                  std::size_t last, int wrap) {
+  const std::size_t n = bounds.size();
+  const std::size_t free_word = n + static_cast<std::size_t>(wrap);
+  const std::size_t paid_word = free_word + 2;
+  std::size_t first_word = bounds.value_class(first);
+  if (bounds.wrap_paid_horizon(first) <= next) {
+    first_word = free_word;
+  } else if (bounds.wrap_zero_horizon(first) <= next) {
+    first_word = paid_word;
+  }
+  std::size_t last_word = bounds.value_class(last);
+  if (bounds.paid_successor_horizon(last) <= next) {
+    last_word = free_word;
+  } else if (bounds.free_successor_horizon(last) <= next) {
+    last_word = paid_word;
+  }
+  return (static_cast<std::uint64_t>(first_word) << 32) | last_word;
+}
 
 /// Matching-based lower bound on K~ (exact minimum under kAcyclic):
 /// N minus the table's root matching, or minus a Hopcroft-Karp matching

@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "ir/access_sequence.hpp"
@@ -95,13 +96,22 @@ class CostModel {
 /// Cost (0 or 1) of access `q` directly following access `p` within one
 /// iteration in the same address register; `p` must precede `q` in the
 /// sequence order (not checked here — enforced by Path).
-int intra_transition_cost(const ir::AccessSequence& seq, std::size_t p,
-                          std::size_t q, const CostModel& model);
+inline int intra_transition_cost(const ir::AccessSequence& seq,
+                                 std::size_t p, std::size_t q,
+                                 const CostModel& model) {
+  const std::optional<std::int64_t> distance = seq.intra_distance(p, q);
+  return distance.has_value() && model.free_distance(*distance) ? 0 : 1;
+}
 
 /// Cost (0 or 1) of access `first` (iteration t+1) directly following
 /// access `last` (iteration t) in the same register. Always 0 under
 /// WrapPolicy::kAcyclic.
-int wrap_transition_cost(const ir::AccessSequence& seq, std::size_t last,
-                         std::size_t first, const CostModel& model);
+inline int wrap_transition_cost(const ir::AccessSequence& seq,
+                                std::size_t last, std::size_t first,
+                                const CostModel& model) {
+  if (model.wrap == WrapPolicy::kAcyclic) return 0;
+  const std::optional<std::int64_t> distance = seq.wrap_distance(last, first);
+  return distance.has_value() && model.free_distance(*distance) ? 0 : 1;
+}
 
 }  // namespace dspaddr::core

@@ -41,10 +41,10 @@ constexpr std::size_t kMaxDominanceRegisters = 8;
 constexpr std::size_t kDefaultStealGrain = 8;
 
 /// Fixed-size key of the parallel path's shared table: the next access
-/// in words[0], then one (first << 32 | last) word per used register in
-/// register order (canonical under the fresh rule — firsts increase
-/// with the register index); unused slots hold an all-ones sentinel.
-/// 32-bit packing is exact for any sequence that fits in memory.
+/// in words[0], then the used registers' register_key() words in
+/// ascending order (Searcher::make_key); unused slots hold an all-ones
+/// sentinel. 32-bit packing is exact for any sequence that fits in
+/// memory.
 struct StateKey {
   std::array<std::uint64_t, kMaxDominanceRegisters + 1> words;
 
@@ -234,7 +234,8 @@ class Searcher {
         use_bound_terms_(ctx.bounds.dense()),
         states_(ctx.registers),
         assignment_(ctx.seq.size(), kUnassigned),
-        table_(ctx.registers, ctx.seq.size(), ctx.table_cap) {
+        table_(ctx.registers, ctx.seq.size() + kKeySentinels,
+               ctx.table_cap) {
     if (use_bound_terms_) matching_.emplace(ctx.bounds);
   }
 
@@ -387,35 +388,40 @@ class Searcher {
     return bound;
   }
 
-  /// The parallel path's key of the current state.
-  StateKey state_key(std::size_t next) const {
-    StateKey key;
-    key.words.fill(~std::uint64_t{0});
-    key.words[0] = next;
+  /// Fills key_ with the used registers' register_key() words at the
+  /// state whose first unassigned access is `next`, in ascending order:
+  /// with `next`, the dominance key of both tables. Equal keys have
+  /// equal completion costs (see register_key), so a state whose key was
+  /// already reached at no higher cost holds no leaf cheaper than one
+  /// the search has explored: cutting it changes no recorded leaf.
+  void make_key(std::size_t next) {
     for (std::size_t r = 0; r < used_count_; ++r) {
-      key.words[1 + r] =
-          (static_cast<std::uint64_t>(states_[r].first) << 32) |
-          static_cast<std::uint64_t>(states_[r].last);
+      const RegisterState& s = states_[r];
+      const std::uint64_t word =
+          register_key(ctx_.bounds, next, s.first, s.last, s.wrap_direct);
+      std::size_t i = r;
+      for (; i > 0 && word < key_[i - 1]; --i) key_[i] = key_[i - 1];
+      key_[i] = word;
     }
-    return key;
   }
 
-  /// True when the subtree can be cut because the same state was
-  /// already reached at no higher cost; records the new cost
+  /// True when the subtree can be cut because a state of the same key
+  /// was already reached at no higher cost; records the new cost
   /// otherwise. Parallel tasks share one striped table (every
   /// sibling's states prune here too); a sequential solve keeps its
   /// private flat table.
   bool dominated(std::size_t next, int cost) {
     if (!ctx_.use_dominance) return false;
+    make_key(next);
     if (ctx_.shared_table != nullptr) {
-      return ctx_.shared_table->dominated(state_key(next), cost,
-                                          local_cap_hits_);
+      StateKey key;
+      key.words.fill(~std::uint64_t{0});
+      key.words[0] = next;
+      std::copy(key_.begin(), key_.begin() + used_count_,
+                key.words.begin() + 1);
+      return ctx_.shared_table->dominated(key, cost, local_cap_hits_);
     }
-    for (std::size_t r = 0; r < used_count_; ++r) {
-      ends_[2 * r] = states_[r].first;
-      ends_[2 * r + 1] = states_[r].last;
-    }
-    return table_.dominated(static_cast<std::uint32_t>(next), ends_.data(),
+    return table_.dominated(static_cast<std::uint32_t>(next), key_.data(),
                             used_count_, cost, local_cap_hits_);
   }
 
@@ -711,8 +717,8 @@ class Searcher {
   std::vector<Frame> frames_;
   std::vector<Move> arena_;
   TranspositionTable table_;
-  /// The (first, last) pairs of the used registers of a table lookup.
-  std::array<std::uint32_t, 2 * kMaxDominanceRegisters> ends_{};
+  /// The register words of a table lookup (make_key).
+  std::array<std::uint64_t, kMaxDominanceRegisters> key_{};
 
   std::uint64_t local_nodes_ = 0;
   std::uint64_t flushed_total_ = 0;

@@ -17,7 +17,8 @@
 // would pay anything and the first zero-cost leaf ends the search.
 //
 // Search shape: accesses are assigned in sequence order; a state is the
-// (first, last) pair per register. The search itself is *flat*: an
+// (first, last) pair per register, keyed for dominance by what its
+// future can still see (below). The search itself is *flat*: an
 // explicit frame stack over an arena of candidate moves replaces
 // recursion, so a subtree can start from any pinned prefix — the
 // mechanism behind both work-stealing donation (below) and the tiled
@@ -45,12 +46,19 @@
 //    register is ever opened, and extending a register whose (first,
 //    last) accesses are value-identical (same offset and stride) to an
 //    earlier register's is skipped — the subtrees are isomorphic;
-//  * dominance pruning: a transposition table keyed on (next access,
-//    per-register first/last states) cuts any branch that reaches an
-//    already-seen state at no lower cost (off for K > 8). A sequential
-//    solve's table is a flat open-addressing array whose slots are
-//    sized to its K, with 16-bit index fields below 65,536 accesses and
-//    32-bit ones above (core/transposition_table.hpp);
+//  * dominance pruning: a transposition table cuts any branch that
+//    reaches an already-seen key at no lower cost (off for K > 8). The
+//    key is the next access and the sorted multiset of the registers'
+//    core::register_key words: each endpoint becomes its value class
+//    (the smallest access with the same offset and stride), or a FREE or
+//    PAID sentinel once every step or wrap still ahead of it costs the
+//    same. Equal keys have equal completion costs, so the cut state
+//    holds no leaf cheaper than one already explored and the search
+//    records the same leaves as with raw (first, last) indices, on
+//    fewer nodes. A sequential solve's table is a flat open-addressing
+//    array whose slots are sized to its K, with 16-bit fields while the
+//    key's values (N plus four sentinels) fit and 32-bit ones above
+//    (core/transposition_table.hpp);
 //  * move ordering: cheapest transition first, so good incumbents
 //    appear early and the incumbent bound bites sooner. Phase 1 breaks
 //    ties nearest endpoint first (fresh register last), so its covers

@@ -15,14 +15,15 @@ constexpr std::uint16_t kAllOnes = 0xffff;
 }  // namespace
 
 TranspositionTable::TranspositionTable(std::size_t registers,
-                                       std::size_t accesses, std::size_t cap)
-    : field_units_(accesses <= kAllOnes ? 1 : 2),
+                                       std::size_t field_limit,
+                                       std::size_t cap)
+    : field_units_(field_limit <= kAllOnes ? 1 : 2),
       key_units_((1 + 2 * registers) * field_units_),
       stride_(kCostUnits + key_units_),
       cap_(cap),
       probe_(key_units_, kAllOnes) {}
 
-void TranspositionTable::pack(std::uint32_t next, const std::uint32_t* ends,
+void TranspositionTable::pack(std::uint32_t next, const std::uint64_t* words,
                               std::size_t used) {
   Unit* out = probe_.data();
   const auto put = [&](std::uint32_t value) {
@@ -30,7 +31,10 @@ void TranspositionTable::pack(std::uint32_t next, const std::uint32_t* ends,
     if (field_units_ == 2) *out++ = static_cast<Unit>(value >> 16);
   };
   put(next);
-  for (std::size_t i = 0; i < 2 * used; ++i) put(ends[i]);
+  for (std::size_t r = 0; r < used; ++r) {
+    put(static_cast<std::uint32_t>(words[r] >> 32));
+    put(static_cast<std::uint32_t>(words[r]));
+  }
   // Unused registers keep the all-ones sentinel.
   std::fill(out, probe_.data() + key_units_, kAllOnes);
 }
@@ -57,10 +61,10 @@ void TranspositionTable::set_cost(std::size_t slot, int cost) {
 }
 
 bool TranspositionTable::dominated(std::uint32_t next,
-                                   const std::uint32_t* ends,
+                                   const std::uint64_t* words,
                                    std::size_t used, int cost,
                                    std::uint64_t& cap_hits) {
-  pack(next, ends, used);
+  pack(next, words, used);
   const std::size_t key_bytes = key_units_ * sizeof(Unit);
   if (capacity_ != 0) {
     for (std::size_t slot = home(probe_.data());;

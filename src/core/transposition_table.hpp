@@ -2,14 +2,16 @@
 // cheapest partial cost at which the search continued from each state
 // it has seen, so a later visit at no lower cost can be cut.
 //
-// A state is the next access to assign and the (first, last) accesses
-// of each used register, in register order. The table is a flat
+// A state's key is the next access to assign and one word per used
+// register, first_word << 32 | last_word, in the order the caller gives
+// (the search passes core::register_key words in ascending order, so a
+// key names every state whose future is the same). The table is a flat
 // open-addressing array (linear probing, power-of-two capacity, no
 // allocation per insert) whose slots are sized to the solve: a cost and
-// 1 + 2K index fields for K registers, unused registers' fields all
-// ones. Fields are 16 bits wide while every index and the all-ones
-// sentinel fit in them (fewer than 65,536 accesses) and 32 bits wide
-// beyond, so keys are exact at any N.
+// 1 + 2K fields for K registers, unused registers' fields all ones.
+// Fields are 16 bits wide while every value and the all-ones sentinel
+// fit in them (values below 65,535) and 32 bits wide beyond, so keys
+// are exact at any N.
 #pragma once
 
 #include <cstddef>
@@ -20,19 +22,20 @@ namespace dspaddr::core {
 
 class TranspositionTable {
  public:
-  /// A table for states of `registers` registers over `accesses`
-  /// accesses that stops inserting once it holds `cap` entries. Memory
-  /// is taken on the first insertion and grows with the entries.
-  TranspositionTable(std::size_t registers, std::size_t accesses,
+  /// A table for states of `registers` registers whose fields (the
+  /// next access and each half of a register word) are all below
+  /// `field_limit`, that stops inserting once it holds `cap` entries.
+  /// Memory is taken on the first insertion and grows with the entries.
+  TranspositionTable(std::size_t registers, std::size_t field_limit,
                      std::size_t cap);
 
-  /// True when the state (next, ends) was already reached at no higher
-  /// cost; `ends` holds the (first, last) pair of each of the `used`
-  /// registers. Otherwise records the state at `cost` — lowering an
-  /// entry on a cheaper revisit, inserting a new one while fewer than
-  /// `cap` are held and counting the refusal in `cap_hits` after that —
-  /// and returns false.
-  bool dominated(std::uint32_t next, const std::uint32_t* ends,
+  /// True when the state (next, words) was already reached at no
+  /// higher cost; `words` holds one first << 32 | last word for each of
+  /// the `used` registers. Otherwise records the state at `cost` —
+  /// lowering an entry on a cheaper revisit, inserting a new one while
+  /// fewer than `cap` are held and counting the refusal in `cap_hits`
+  /// after that — and returns false.
+  bool dominated(std::uint32_t next, const std::uint64_t* words,
                  std::size_t used, int cost, std::uint64_t& cap_hits);
 
   /// Entries held.
@@ -44,7 +47,7 @@ class TranspositionTable {
   /// an empty slot.
   static constexpr std::size_t kCostUnits = sizeof(std::int32_t) / sizeof(Unit);
 
-  void pack(std::uint32_t next, const std::uint32_t* ends, std::size_t used);
+  void pack(std::uint32_t next, const std::uint64_t* words, std::size_t used);
   std::size_t home(const Unit* key) const;
   int cost_at(std::size_t slot) const;
   void set_cost(std::size_t slot, int cost);

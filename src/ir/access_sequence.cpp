@@ -1,7 +1,5 @@
 #include "ir/access_sequence.hpp"
 
-#include "support/check.hpp"
-
 namespace dspaddr::ir {
 
 AccessSequence::AccessSequence(std::vector<Access> accesses)
@@ -15,32 +13,6 @@ AccessSequence AccessSequence::from_offsets(
     accesses.push_back(Access{offset, stride});
   }
   return AccessSequence(std::move(accesses));
-}
-
-const Access& AccessSequence::operator[](std::size_t i) const {
-  check_index(i);
-  return accesses_[i];
-}
-
-std::optional<std::int64_t> AccessSequence::intra_distance(
-    std::size_t p, std::size_t q) const {
-  check_index(p);
-  check_index(q);
-  if (accesses_[p].stride != accesses_[q].stride) return std::nullopt;
-  return accesses_[q].offset - accesses_[p].offset;
-}
-
-std::optional<std::int64_t> AccessSequence::wrap_distance(
-    std::size_t last, std::size_t first) const {
-  check_index(last);
-  check_index(first);
-  if (accesses_[last].stride != accesses_[first].stride) return std::nullopt;
-  return accesses_[first].offset + accesses_[first].stride -
-         accesses_[last].offset;
-}
-
-void AccessSequence::check_index(std::size_t i) const {
-  check_arg(i < accesses_.size(), "AccessSequence: index out of range");
 }
 
 }  // namespace dspaddr::ir

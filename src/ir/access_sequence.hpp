@@ -23,6 +23,8 @@
 #include <optional>
 #include <vector>
 
+#include "support/check.hpp"
+
 namespace dspaddr::ir {
 
 /// One array access inside the loop body.
@@ -53,18 +55,34 @@ public:
 
   std::size_t size() const { return accesses_.size(); }
   bool empty() const { return accesses_.empty(); }
-  const Access& operator[](std::size_t i) const;
+  const Access& operator[](std::size_t i) const {
+    check_index(i);
+    return accesses_[i];
+  }
   const std::vector<Access>& accesses() const { return accesses_; }
 
   /// Address distance when access `q` directly follows access `p` within
   /// one iteration; nullopt when strides differ (never zero-cost).
   std::optional<std::int64_t> intra_distance(std::size_t p,
-                                             std::size_t q) const;
+                                             std::size_t q) const {
+    check_index(p);
+    check_index(q);
+    if (accesses_[p].stride != accesses_[q].stride) return std::nullopt;
+    return accesses_[q].offset - accesses_[p].offset;
+  }
 
   /// Address distance when access `first` (in iteration t+1) directly
   /// follows access `last` (in iteration t); nullopt when strides differ.
   std::optional<std::int64_t> wrap_distance(std::size_t last,
-                                            std::size_t first) const;
+                                            std::size_t first) const {
+    check_index(last);
+    check_index(first);
+    if (accesses_[last].stride != accesses_[first].stride) {
+      return std::nullopt;
+    }
+    return accesses_[first].offset + accesses_[first].stride -
+           accesses_[last].offset;
+  }
 
   friend bool operator==(const AccessSequence& a, const AccessSequence& b) {
     return a.accesses_ == b.accesses_;
@@ -74,7 +92,9 @@ public:
   }
 
 private:
-  void check_index(std::size_t i) const;
+  void check_index(std::size_t i) const {
+    check_arg(i < accesses_.size(), "AccessSequence: index out of range");
+  }
 
   std::vector<Access> accesses_;
 };

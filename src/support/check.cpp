@@ -1,17 +1,13 @@
 #include "support/check.hpp"
 
-namespace dspaddr {
+namespace dspaddr::detail {
 
-void check_arg(bool condition, std::string_view message) {
-  if (!condition) {
-    throw InvalidArgument(std::string(message));
-  }
+void throw_invalid_argument(std::string_view message) {
+  throw InvalidArgument(std::string(message));
 }
 
-void check_invariant(bool condition, std::string_view message) {
-  if (!condition) {
-    throw InvariantViolation(std::string(message));
-  }
+void throw_invariant_violation(std::string_view message) {
+  throw InvariantViolation(std::string(message));
 }
 
-}  // namespace dspaddr
+}  // namespace dspaddr::detail

@@ -33,11 +33,24 @@ public:
   explicit InvariantViolation(const std::string& what) : Error(what) {}
 };
 
+namespace detail {
+
+/// The throwing halves of the checks below, kept out of line so a
+/// passing check costs one inlined branch.
+[[noreturn]] void throw_invalid_argument(std::string_view message);
+[[noreturn]] void throw_invariant_violation(std::string_view message);
+
+}  // namespace detail
+
 /// Throws InvalidArgument with `message` unless `condition` holds.
-void check_arg(bool condition, std::string_view message);
+inline void check_arg(bool condition, std::string_view message) {
+  if (!condition) detail::throw_invalid_argument(message);
+}
 
 /// Throws InvariantViolation with `message` unless `condition` holds.
-void check_invariant(bool condition, std::string_view message);
+inline void check_invariant(bool condition, std::string_view message) {
+  if (!condition) detail::throw_invariant_violation(message);
+}
 
 /// Checked narrowing conversion in the spirit of gsl::narrow: throws
 /// InvalidArgument if the value does not round-trip.

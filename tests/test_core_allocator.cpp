@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/validate.hpp"
 #include "eval/patterns.hpp"
 #include "support/rng.hpp"
@@ -35,6 +37,19 @@ TEST(RegisterAllocator, EmptySequenceGivesEmptyAllocation) {
       RegisterAllocator(paper_config(2)).run(AccessSequence{});
   EXPECT_EQ(a.register_count(), 0u);
   EXPECT_EQ(a.cost(), 0);
+  // Phase 1 proves K~ = 0 and the free allocation is proven optimal.
+  EXPECT_EQ(a.stats().k_tilde, std::optional<std::size_t>{0});
+  EXPECT_TRUE(a.stats().phase1_exact);
+  EXPECT_TRUE(a.stats().phase2_exact);
+  EXPECT_TRUE(a.stats().phase2_proven);
+  EXPECT_EQ(a.stats().phase2_gap, 0);
+
+  // Only the heuristic mode leaves the proof uncertified by the solver.
+  ProblemConfig heuristic = paper_config(2);
+  heuristic.phase2.mode = Phase2Options::Mode::kHeuristic;
+  const Allocation h = RegisterAllocator(heuristic).run(AccessSequence{});
+  EXPECT_FALSE(h.stats().phase2_exact);
+  EXPECT_TRUE(h.stats().phase2_proven);
 }
 
 TEST(RegisterAllocator, PaperExampleWithEnoughRegistersIsFree) {

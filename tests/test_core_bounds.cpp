@@ -4,14 +4,19 @@
 // from-scratch Hopcroft-Karp matching of the same residual graph after
 // every assign and undo; the entry assignment's optimum against a
 // brute-force enumeration of the completions, and the running dual sum
-// against the proven cost of the pinned completion.
+// against the proven cost of the pinned completion. The exact search's
+// dominance key (register_key) is checked by grouping every state of
+// small bodies by key: each group has one brute-force least completion
+// cost.
 #include "core/bounds.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -159,9 +164,10 @@ INSTANTIATE_TEST_SUITE_P(RandomSeeds, ResidualMatchingTest,
 class StepCostTableTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(StepCostTableTest, EveryReadIsTheCostModels) {
-  // The table's rows, its edge list, its matching bound and path costs
-  // summed from it against the cost model, on dense and (for seed 0)
-  // sparse tables, under both wrap policies.
+  // The table's rows, its edge list, its matching bound, its per-access
+  // classes and horizons and path costs summed from it against the cost
+  // model, on dense and (for seed 0) sparse tables, under both wrap
+  // policies.
   support::Rng rng(GetParam() * 4099 + 11);
   auto [seq, model] = random_body(rng);
   if (GetParam() == 0) {
@@ -192,6 +198,35 @@ TEST_P(StepCostTableTest, EveryReadIsTheCostModels) {
   EXPECT_EQ(costs.free_intra_edges(), free_edges);
   EXPECT_EQ(lower_bound_registers(costs),
             n - graph::hopcroft_karp(n, n, free_edges).size);
+  // The per-access arrays behind the dominance key: the sparse table
+  // reports the identity class and no horizon.
+  constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
+  for (std::size_t a = 0; a < n; ++a) {
+    std::size_t value_class = a;
+    std::size_t wrap_zero = costs.dense() ? 0 : kNever;
+    std::size_t wrap_paid = wrap_zero;
+    std::size_t step_free = wrap_zero;
+    std::size_t step_paid = wrap_zero;
+    for (std::size_t j = 0; costs.dense() && j < n; ++j) {
+      if (j < value_class && seq[j] == seq[a]) value_class = j;
+      if (wrap_transition_cost(seq, j, a, model) == 0) {
+        wrap_zero = j + 1;
+      } else {
+        wrap_paid = j + 1;
+      }
+      if (j <= a) continue;
+      if (intra_transition_cost(seq, a, j, model) == 0) {
+        step_free = j + 1;
+      } else {
+        step_paid = j + 1;
+      }
+    }
+    ASSERT_EQ(costs.value_class(a), value_class) << a;
+    ASSERT_EQ(costs.wrap_zero_horizon(a), wrap_zero) << a;
+    ASSERT_EQ(costs.wrap_paid_horizon(a), wrap_paid) << a;
+    ASSERT_EQ(costs.free_successor_horizon(a), step_free) << a;
+    ASSERT_EQ(costs.paid_successor_horizon(a), step_paid) << a;
+  }
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<std::size_t> indices;
     for (std::size_t i = 0; i < n; ++i) {
@@ -204,6 +239,121 @@ TEST_P(StepCostTableTest, EveryReadIsTheCostModels) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, StepCostTableTest,
                          ::testing::Range<std::uint64_t>(0, 20));
+
+/// Every state the fresh-rule prefixes of one body reach, with its
+/// least completion cost by brute force (the steps into the unassigned
+/// accesses plus every register's wrap, read from the cost model),
+/// grouped by the exact search's dominance key: `next` and the sorted
+/// register_key() words.
+struct KeyGroups {
+  const SuffixBounds& bounds;
+  std::size_t registers;
+  std::vector<std::size_t> firsts;
+  std::vector<std::size_t> lasts;
+  /// Key -> the least completion cost and the (first, last) pairs of
+  /// the first state seen with it.
+  std::map<std::vector<std::uint64_t>,
+           std::pair<int, std::vector<std::uint64_t>>>
+      groups;
+  /// States whose key an earlier, different state already had.
+  std::size_t merged = 0;
+  /// FREE(0), FREE(1), PAID(0) and PAID(1) words seen.
+  std::array<bool, kKeySentinels> sentinels{};
+
+  int complete(std::size_t next) {
+    const ir::AccessSequence& seq = bounds.sequence();
+    const CostModel& model = bounds.model();
+    if (next == seq.size()) {
+      int wraps = 0;
+      for (std::size_t r = 0; r < firsts.size(); ++r) {
+        wraps += wrap_transition_cost(seq, lasts[r], firsts[r], model);
+      }
+      return wraps;
+    }
+    int best = std::numeric_limits<int>::max();
+    for (std::size_t r = 0; r < lasts.size(); ++r) {
+      const std::size_t previous = lasts[r];
+      lasts[r] = next;
+      best = std::min(best, intra_transition_cost(seq, previous, next, model) +
+                                complete(next + 1));
+      lasts[r] = previous;
+    }
+    if (firsts.size() < registers) {
+      firsts.push_back(next);
+      lasts.push_back(next);
+      best = std::min(best, complete(next + 1));
+      firsts.pop_back();
+      lasts.pop_back();
+    }
+    record(next, best);
+    return best;
+  }
+
+  void record(std::size_t next, int least) {
+    const std::size_t n = bounds.size();
+    std::vector<std::uint64_t> key{next};
+    std::vector<std::uint64_t> raw;
+    for (std::size_t r = 0; r < firsts.size(); ++r) {
+      const std::uint64_t word =
+          register_key(bounds, next, firsts[r], lasts[r],
+                       bounds.wrap_direct(lasts[r], firsts[r]));
+      key.push_back(word);
+      raw.push_back(firsts[r] << 32 | lasts[r]);
+      for (const std::uint64_t half : {word >> 32, word & 0xffffffffu}) {
+        ASSERT_LT(half, n + kKeySentinels);
+        if (half >= n) sentinels[half - n] = true;
+      }
+    }
+    std::sort(key.begin() + 1, key.end());
+    std::sort(raw.begin(), raw.end());
+    const auto [group, inserted] = groups.emplace(key, std::pair(least, raw));
+    if (inserted) return;
+    EXPECT_EQ(group->second.first, least) << "next " << next;
+    if (group->second.second != raw) ++merged;
+  }
+};
+
+TEST(RegisterKey, EqualKeysHaveEqualLeastCompletionCosts) {
+  // Bodies of at most 9 accesses with repeated values: K 1 to 4,
+  // asymmetric windows with extra free widths, mixed strides, both wrap
+  // policies. The key must merge states (or it proves nothing), and all
+  // four sentinel kinds must occur.
+  support::Rng rng(2531);
+  std::size_t merged = 0;
+  std::array<bool, kKeySentinels> sentinels{};
+  for (int body = 0; body < 200; ++body) {
+    const std::size_t n = 1 + rng.index(9);
+    const std::int64_t range = rng.uniform_int(1, 4);
+    const bool mixed = rng.bernoulli(0.3);
+    std::vector<ir::Access> accesses(n);
+    for (auto& access : accesses) {
+      access.offset = rng.uniform_int(-range, range);
+      access.stride = mixed ? rng.uniform_int(1, 2) : 1;
+    }
+    std::vector<std::int64_t> widths;
+    for (std::int64_t w = rng.uniform_int(0, 2); w > 0; --w) {
+      widths.push_back(rng.uniform_int(-6, 6));
+    }
+    const std::int64_t hi = rng.uniform_int(0, 2);
+    const std::int64_t lo = -rng.uniform_int(0, 2);
+    const WrapPolicy wrap =
+        rng.bernoulli(0.25) ? WrapPolicy::kAcyclic : WrapPolicy::kCyclic;
+    const SuffixBounds bounds(AccessSequence(std::move(accesses)),
+                              CostModel(lo, hi, std::move(widths), wrap));
+    KeyGroups groups{bounds, 1 + rng.index(4), {}, {}, {}, 0, {}};
+    SCOPED_TRACE(::testing::Message() << "body " << body << ", N " << n
+                                      << ", K " << groups.registers);
+    groups.complete(0);
+    merged += groups.merged;
+    for (std::size_t kind = 0; kind < kKeySentinels; ++kind) {
+      sentinels[kind] = sentinels[kind] || groups.sentinels[kind];
+    }
+  }
+  EXPECT_GT(merged, 0u);
+  for (std::size_t kind = 0; kind < kKeySentinels; ++kind) {
+    EXPECT_TRUE(sentinels[kind]) << "sentinel N + " << kind;
+  }
+}
 
 TEST(ResidualMatching, AppendingAlongTheMatchedEdgeNeedsNoRepair) {
   // 0 -> 1 -> 2 is one free chain (M = 1): the root matching pairs both

@@ -451,13 +451,13 @@ constexpr Phase1Pin kPhase1Pins[] = {
     {Shape::kUnit, 5, 205, 4, 2, 4, 4, true, 4, 0x66981f26773a8646},
     {Shape::kUnit, 8, 208, 4, 4, 4, 4, true, 0, 0x5126671fd62bcb7d},
     {Shape::kUnit, 10, 210, 6, 6, 6, 6, true, 0, 0xe39630abc8f39f6a},
-    {Shape::kUnit, 12, 212, 9, 5, 10, 9, true, 76, 0xa960be121a264b79},
-    {Shape::kUnit, 14, 214, 3, 2, 4, 3, true, 124, 0x552d8336a17fdf74},
+    {Shape::kUnit, 12, 212, 9, 5, 10, 9, true, 74, 0xa960be121a264b79},
+    {Shape::kUnit, 14, 214, 3, 2, 4, 3, true, 106, 0x552d8336a17fdf74},
     {Shape::kUnit, 16, 216, 7, 6, 7, 7, true, 14, 0x30c9f05739efb4ff},
     {Shape::kUnit, 18, 218, 2, 2, 2, 2, true, 0, 0x780d78cffbbc33ec},
     {Shape::kUnit, 20, 220, 4, 4, 4, 4, true, 0, 0xfe1cf1ebf1e96047},
     {Shape::kUnit, 22, 222, 5, 5, 5, 5, true, 0, 0x1ba2005a50fd9b0a},
-    {Shape::kUnit, 24, 224, 4, 3, 5, 4, true, 4981, 0x87705610e41717b7},
+    {Shape::kUnit, 24, 224, 4, 3, 5, 4, true, 1495, 0x87705610e41717b7},
     {Shape::kUnit, 26, 226, 4, 4, 4, 4, true, 0, 0x23b003c4395453b2},
     {Shape::kUnit, 28, 228, 3, 3, 3, 3, true, 0, 0x86f659825e014749},
     {Shape::kUnit, 16, 916, 8, 8, 8, 8, true, 0, 0x365a1ee29d1be487},
@@ -495,14 +495,14 @@ constexpr Phase1Pin kPhase1Pins[] = {
     {Shape::kStrideTwo, 8, 143, 3, 2, 0, 3, true, 27, 0x580d17d89c849103},
     {Shape::kStrideTwo, 16, 23, 2, 2, 0, 2, true, 579, 0x3eae6ab85b556c5d},
     {Shape::kStrideTwo, 20, 30, 3, 2, 0, 3, true, 119792, 0xa6ee2651bc700409},
-    {Shape::kStrideTwo, 24, 8, 4, 3, 0, 4, true, 86, 0x2f7609b3aa26236b},
+    {Shape::kStrideTwo, 24, 8, 4, 3, 0, 4, true, 84, 0x2f7609b3aa26236b},
     {Shape::kStrideTwo, 32, 23, 0, 2, 0, 2, false, 0, 0x86a1bd3e06d07f1d},
     {Shape::kStrideTwo, 40, 25, 0, 7, 0, 7, false, 0, 0xa93ce5752d6dbc81},
     // Mixed strides and asymmetric windows.
     {Shape::kWindow, 5, 405, 0, 5, 0, 5, true, 0, 0x32ac92866cc55284},
     {Shape::kWindow, 8, 408, 0, 6, 0, 6, true, 0, 0x12d540ee6bbffc89},
     {Shape::kWindow, 12, 412, 5, 4, 5, 5, true, 10, 0x62aa4cde7df388c5},
-    {Shape::kWindow, 16, 416, 7, 5, 7, 7, true, 39, 0xeae8c0c4fb71bcd1},
+    {Shape::kWindow, 16, 416, 7, 5, 7, 7, true, 37, 0xeae8c0c4fb71bcd1},
     {Shape::kWindow, 20, 420, 9, 8, 10, 9, true, 50, 0xc4ffd7c24e7625a9},
     {Shape::kWindow, 24, 424, 10, 9, 10, 10, true, 19, 0xde751e07457209a5},
     {Shape::kWindow, 28, 428, 11, 10, 0, 11, true, 6888, 0x67e7dae07306f1a5},

@@ -241,12 +241,12 @@ TEST(Tiled, AutoWidthNarrowsWhenWindowsStopProving) {
   options.auto_width = true;
   options.min_width = 10;
   options.max_width = 32;
-  options.max_nodes = 400;  // a handful of nodes per window
+  options.max_nodes = 300;  // a handful of nodes per window
   const TiledResult r = tiled_min_cost_allocation(seq, kM1, 3, options);
   ASSERT_GT(r.windows, 1u);
   ASSERT_EQ(r.window_widths.size(), r.windows);
   EXPECT_LT(r.windows_proven, r.windows);
-  // The opening window cannot prove 24 accesses on ~100 nodes, so the
+  // The opening window cannot prove 24 accesses on ~75 nodes, so the
   // very next window must already be narrower (and the tuner never
   // exceeds max_width anywhere).
   EXPECT_LT(r.window_widths[1], r.window_widths[0]);

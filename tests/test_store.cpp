@@ -834,7 +834,10 @@ struct FixtureRecord {
 /// codec version (2), store_records_v1.tsv those of version 1, which
 /// current builds no longer decode. Not regenerated with the goldens:
 /// the point is that records already on disk keep decoding (or heal),
-/// and that new ones are written byte for byte like them.
+/// and that new ones are written byte for byte like them. A record of
+/// store_records.tsv may be rewritten alone, copied out of a fresh log,
+/// only when a search change moves its answer's phase-2 node count and
+/// nothing else; the v1 records are never rewritten.
 std::vector<FixtureRecord> fixture_records(
     const std::string& file = "store_records.tsv") {
   std::vector<FixtureRecord> records;

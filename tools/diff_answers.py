@@ -5,9 +5,11 @@ usage: tools/diff_answers.py A B
 
 Both files hold one JSON answer per line. Line by line, the answers are
 compared member by member, in order, with numbers compared as written.
-The one member left out is the phase-2 search's node count
-(`stages.allocate.phase2.nodes`): a change to the search's pruning may
-move it without moving any answer.
+The one member left out is the phase-2 search's node count of the
+allocate stage, `stages.allocate.phase2.nodes` from the answer's top
+level: a change to the search's pruning may move it without moving any
+answer. Every other member counts, other node counts too (a stats
+line's `stats.phase2.nodes`).
 
 Prints a one-line verdict, preceded by the first few differences if
 there are any. Exits 0 when the files agree apart from phase-2 node
@@ -39,6 +41,10 @@ def shown(value):
     return value if isinstance(value, Number) else json.dumps(value)
 
 
+# The path of the one member left out.
+IGNORED = ("stages", "allocate", "phase2", "nodes")
+
+
 def compare(a, b, path, diffs, node_diffs):
     """Appends (path, a, b) to `diffs` for every difference below `path`
     and counts the differing phase-2 node counts in node_diffs[0]."""
@@ -58,7 +64,7 @@ def compare(a, b, path, diffs, node_diffs):
         for index, (value_a, value_b) in enumerate(zip(a, b)):
             compare(value_a, value_b, path + (str(index),), diffs, node_diffs)
     elif type(a) is not type(b) or a != b:
-        if path[-2:] == ("phase2", "nodes"):
+        if path == IGNORED:
             node_diffs[0] += 1
         else:
             diffs.append((path, shown(a), shown(b)))
@@ -75,7 +81,7 @@ def main(argv):
         return 2
     try:
         lines_a, lines_b = read_lines(argv[1]), read_lines(argv[2])
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
