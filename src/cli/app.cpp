@@ -54,7 +54,6 @@ int command_run(const std::vector<std::string>& args, std::ostream& out) {
   core::Phase2Options phase2;
   phase2.mode = options.phase2;
   phase2.time_budget_ms = options.time_budget_ms;
-  phase2.jobs = options.phase2_jobs;
   if (options.phase2_window != 0) {
     phase2.tile_width = options.phase2_window;
   }
@@ -174,7 +173,6 @@ int command_batch(const std::vector<std::string>& args, std::ostream& out) {
   config.race_budget_ms = options.race_budget_ms;
   config.phase2.mode = options.phase2;
   config.phase2.time_budget_ms = options.time_budget_ms;
-  config.phase2.jobs = options.phase2_jobs;
   if (options.phase2_window != 0) {
     config.phase2.tile_width = options.phase2_window;
   }
@@ -435,9 +433,6 @@ commands:
                                      solver (default: auto — exact for
                                      small kernels; tiled = windowed
                                      exact solves, stitched)
-              --phase2-jobs <n>      worker threads of the phase-2
-                                     search (default: 1, at most 64;
-                                     costs are identical at any level)
               --time-budget-ms <ms>  wall-clock cap of the exact search
                                      (default: 0 = node budget only)
               --jobs <n>             racers in flight when an axis is
@@ -482,9 +477,6 @@ commands:
                                      for a latency cap)
               --phase2 <mode>        auto|exact|heuristic|tiled phase-2
                                      solver
-              --phase2-jobs <n>      phase-2 search threads per row
-                                     (default: 1, at most 64; cost
-                                     columns never depend on the level)
               --time-budget-ms <ms>  wall-clock cap of the exact search
               --format csv|table     output format (default: csv)
               --out <file>           write output to a file

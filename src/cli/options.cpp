@@ -57,15 +57,6 @@ std::size_t parse_size(const std::string& text, const std::string& flag,
   return static_cast<std::size_t>(value);
 }
 
-std::size_t parse_phase2_jobs(const std::string& text) {
-  const std::size_t jobs = parse_size(text, "--phase2-jobs", 1);
-  if (jobs > core::kMaxPhase2Jobs) {
-    throw UsageError("--phase2-jobs: value must be <= " +
-                     std::to_string(core::kMaxPhase2Jobs) + ", got " + text);
-  }
-  return jobs;
-}
-
 /// Recognizes `--flag value` and `--flag=value`; returns true and leaves
 /// the value in `value` when `arg` matches `flag`.
 bool match_flag(const std::string& arg, const std::string& flag,
@@ -234,8 +225,6 @@ RunOptions parse_run_options(const std::vector<std::string>& args) {
       options.strategy = parse_strategy_name(value);
     } else if (match_flag(arg, "--phase2", cursor, value)) {
       options.phase2 = parse_phase2_mode(value);
-    } else if (match_flag(arg, "--phase2-jobs", cursor, value)) {
-      options.phase2_jobs = parse_phase2_jobs(value);
     } else if (match_flag(arg, "--phase2-window", cursor, value)) {
       if (value == "auto") {
         options.phase2_window_auto = true;
@@ -299,8 +288,6 @@ BatchOptions parse_batch_options(const std::vector<std::string>& args) {
       options.jobs = parse_jobs(value);
     } else if (match_flag(arg, "--phase2", cursor, value)) {
       options.phase2 = parse_phase2_mode(value);
-    } else if (match_flag(arg, "--phase2-jobs", cursor, value)) {
-      options.phase2_jobs = parse_phase2_jobs(value);
     } else if (match_flag(arg, "--phase2-window", cursor, value)) {
       if (value == "auto") {
         options.phase2_window_auto = true;

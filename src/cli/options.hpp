@@ -69,10 +69,6 @@ struct RunOptions {
   core::Phase2Options::Mode phase2 = core::Phase2Options::Mode::kAuto;
   /// Wall-clock budget of the exact phase-2 search; 0 = node cap only.
   std::int64_t time_budget_ms = 0;
-  /// Worker threads of the phase-2 search itself (not the grid runner's
-  /// --jobs): > 1 runs the search on a work-stealing pool. Costs are
-  /// identical at any level; node counts may vary.
-  std::size_t phase2_jobs = 1;
   /// Tiled window width (--phase2-window): 0 keeps the default fixed
   /// width; N >= 8 sets it; "auto" enables per-window auto-tuning.
   std::size_t phase2_window = 0;
@@ -127,10 +123,6 @@ struct BatchOptions {
   core::Phase2Options::Mode phase2 = core::Phase2Options::Mode::kAuto;
   /// Wall-clock budget of the exact phase-2 search; 0 = node cap only.
   std::int64_t time_budget_ms = 0;
-  /// Worker threads of each row's phase-2 search (the grid runner's
-  /// --jobs parallelizes across rows instead). Costs are identical at
-  /// any level, so the CSV cost columns never depend on it.
-  std::size_t phase2_jobs = 1;
   /// Tiled window width (--phase2-window): 0 = default fixed width,
   /// N >= 8 sets it, "auto" tunes per window.
   std::size_t phase2_window = 0;

@@ -99,14 +99,6 @@ std::string report_to_text(const engine::Result& report, bool show_program) {
         }
       }
     }
-    if (report.stats.phase2_subtree_tasks > 0) {
-      out << ", " << report.stats.phase2_subtree_tasks
-          << " subtree task(s)";
-    }
-    if (report.stats.phase2_steals > 0) {
-      out << ", " << report.stats.phase2_steals << " steal(s) over "
-          << report.stats.phase2_splits << " split(s)";
-    }
     if (report.stats.phase2_table_cap_hits > 0) {
       out << ", " << report.stats.phase2_table_cap_hits
           << " table-cap hit(s)";

@@ -38,8 +38,7 @@ constexpr const char* kKnownKeys[] = {
     "kernel",      "machine",    "machine_file",
     "machine_spec", "registers", "modify_range",
     "modify_registers", "iterations", "phase2",
-    "phase2_jobs", "phase2_window",
-    "time_budget_ms", "stop_after",
+    "phase2_window", "time_budget_ms", "stop_after",
     "layout",      "strategy",   "race_budget_ms",
 };
 
@@ -147,14 +146,6 @@ engine::Request request_from_json(const JsonValue& json,
   if (const JsonValue* phase2 = json.find("phase2")) {
     request.phase2.mode = parse_phase2_mode(phase2->as_string());
   }
-  // Defaults to 1 (sequential): a jobs level changes only diagnostics,
-  // never costs, but cached/batched responses must stay reproducible
-  // unless a request opts in.
-  const std::int64_t phase2_jobs = int_field(json, "phase2_jobs", 1, 1);
-  check_arg(phase2_jobs <= static_cast<std::int64_t>(core::kMaxPhase2Jobs),
-            "phase2_jobs: value must be <= " +
-                std::to_string(core::kMaxPhase2Jobs));
-  request.phase2.jobs = static_cast<std::size_t>(phase2_jobs);
   // "phase2_window": a width (>= 8) or the string "auto" — the same
   // surface as the CLI's --phase2-window.
   if (const JsonValue* window = json.find("phase2_window")) {

@@ -25,7 +25,7 @@
 //     "registers" / "modify_range" / "modify_registers": overrides
 //     "iterations": <n>            simulated iterations
 //     "phase2": "auto"|"exact"|"heuristic"|"tiled",
-//     "phase2_jobs": <n> (1..64), "time_budget_ms": <ms>
+//     "phase2_window": <width >= 8>|"auto", "time_budget_ms": <ms>
 //     "stop_after": "<stage>"      run a pipeline prefix
 //   special (drains the pipeline first, so counters are settled):
 //     {"stats": true}              answers {"stats": {hits, misses,

@@ -1,7 +1,6 @@
 #include "core/allocator.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <sstream>
 
@@ -106,31 +105,17 @@ Allocation RegisterAllocator::run(const ir::AccessSequence& seq) const {
     ExactOptions options;
     options.max_nodes = phase2.max_nodes;
     options.time_budget_ms = phase2.time_budget_ms;
-    options.jobs = phase2.jobs;
     options.warm_start = paths;
     options.abort = phase2.abort;
-    const auto search_start = std::chrono::steady_clock::now();
     const ExactResult exact =
         exact_min_cost_allocation(costs, config_.registers, options);
-    const double search_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      search_start)
-            .count();
     stats.phase2_exact = true;
     stats.phase2_proven = exact.proven;
     stats.phase2_nodes = exact.nodes;
     stats.phase2_lower_bound = exact.lower_bound;
     stats.phase2_gap = exact.gap();
     stats.phase2_table_cap_hits = exact.table_cap_hits;
-    stats.phase2_subtree_tasks = exact.subtree_tasks;
-    stats.phase2_steals = exact.steals;
-    stats.phase2_steal_attempts = exact.steal_attempts;
-    stats.phase2_splits = exact.splits;
     stats.phase2_external_abort = exact.external_abort;
-    if (search_seconds > 0.0) {
-      stats.phase2_nodes_per_sec =
-          static_cast<double>(exact.nodes) / search_seconds;
-    }
     // Keep the heuristic's paths on a cost tie: the merge trace stays
     // meaningful and outputs stay stable across solver tweaks.
     if (exact.cost < heuristic_cost) {
@@ -144,15 +129,9 @@ Allocation RegisterAllocator::run(const ir::AccessSequence& seq) const {
     options.auto_width = phase2.tile_width_auto;
     options.max_nodes = phase2.max_nodes;
     options.time_budget_ms = phase2.time_budget_ms;
-    options.jobs = phase2.jobs;
     options.abort = phase2.abort;
-    const auto search_start = std::chrono::steady_clock::now();
     const TiledResult tiled = tiled_min_cost_allocation(
         seq, model, config_.registers, options);
-    const double search_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      search_start)
-            .count();
     // A single window is a full exact solve; otherwise the result is
     // anytime: at least as good as the heuristic, no global proof. Its
     // bound is then the whole-body one the exact search starts from:
@@ -168,18 +147,10 @@ Allocation RegisterAllocator::run(const ir::AccessSequence& seq) const {
     stats.phase2_gap =
         std::min(tiled.cost, heuristic_cost) - stats.phase2_lower_bound;
     stats.phase2_table_cap_hits = tiled.table_cap_hits;
-    stats.phase2_subtree_tasks = tiled.subtree_tasks;
-    stats.phase2_steals = tiled.steals;
-    stats.phase2_steal_attempts = tiled.steal_attempts;
-    stats.phase2_splits = tiled.splits;
     stats.phase2_windows = tiled.windows;
     stats.phase2_windows_proven = tiled.windows_proven;
     stats.phase2_window_widths = tiled.window_widths;
     stats.phase2_external_abort = tiled.external_abort;
-    if (search_seconds > 0.0) {
-      stats.phase2_nodes_per_sec =
-          static_cast<double>(tiled.nodes) / search_seconds;
-    }
     if (tiled.cost < heuristic_cost) {
       paths = tiled.paths;
       validate_allocation(seq, paths, config_.registers);

@@ -27,12 +27,6 @@
 
 namespace dspaddr::core {
 
-/// The most phase-2 search threads a user may ask for (serve's
-/// "phase2_jobs", the CLI's --phase2-jobs): each starts one thread, so
-/// an unbounded request could exhaust the host. A fixed cap, so a
-/// request valid on one host is valid on every host.
-inline constexpr std::size_t kMaxPhase2Jobs = 64;
-
 /// Controls the phase-2 reduction to K physical registers.
 struct Phase2Options {
   enum class Mode {
@@ -60,11 +54,6 @@ struct Phase2Options {
   /// Wall-clock budget in milliseconds; 0 disables the clock. Leave at
   /// 0 when byte-identical reruns matter (batch determinism).
   std::int64_t time_budget_ms = 0;
-  /// Worker threads of the phase-2 search (ExactOptions::jobs): 1 runs
-  /// the exact sequential search, > 1 runs it on a work-stealing pool
-  /// (runtime::StealPool). Proven costs are identical at any level.
-  /// Callers that take it from users cap it at kMaxPhase2Jobs.
-  std::size_t jobs = 1;
   /// Window geometry of kTiled (TiledOptions).
   std::size_t tile_width = 20;
   std::size_t tile_overlap = 6;
@@ -131,21 +120,6 @@ struct AllocationStats {
   /// at its entry cap (insertion refused) — nonzero means a larger
   /// table could have pruned more (ExactResult::table_cap_hits).
   std::uint64_t phase2_table_cap_hits = 0;
-  /// Tasks the parallel search's work-stealing pool executed — the
-  /// root plus every donated subtree (0 for a sequential solve;
-  /// schedule-dependent above jobs = 1, unlike the cost/proof).
-  std::uint64_t phase2_subtree_tasks = 0;
-  /// Work-stealing diagnostics of the parallel phase-2 search: subtrees
-  /// donated by busy workers (`splits`), tasks stolen by idle workers
-  /// (`steals`), and victim-deque probes (`steal_attempts`). All
-  /// exactly 0 at jobs = 1 and schedule-dependent above it.
-  std::uint64_t phase2_steals = 0;
-  std::uint64_t phase2_steal_attempts = 0;
-  std::uint64_t phase2_splits = 0;
-  /// Search throughput of the phase-2 solve (0 when it did not run).
-  /// Wall-clock derived — diagnostic only, never serialized into
-  /// byte-compared outputs.
-  double phase2_nodes_per_sec = 0.0;
   /// Tiled mode: windows swept, and how many proved optimal within
   /// their boundary (both 0 outside kTiled).
   std::size_t phase2_windows = 0;

@@ -63,17 +63,17 @@
 //    appear early and the incumbent bound bites sooner. Phase 1 breaks
 //    ties nearest endpoint first (fresh register last), so its covers
 //    follow the greedy's preference.
-// With `jobs > 1` the phase-2 search runs on a work-stealing
-// runtime::StealPool: one root task explores the tree, and whenever
-// the pool reports hungry workers a busy searcher donates its
-// shallowest untried subtree (as a pinned prefix, at least 8 accesses
-// deep) onto its own deque for an idle worker to steal — so deep
-// unbalanced trees keep every worker fed instead of idling after a
-// one-shot frontier wave. All tasks share the atomic incumbent and a
-// striped transposition table: the *cost* of the result (and the proof)
-// is identical at any jobs level, while the witness assignment may
-// differ among cost ties and node / steal / split counts vary with
-// scheduling.
+// With `jobs > 1` (library-only, see ExactOptions::jobs) the phase-2
+// search runs on a work-stealing runtime::StealPool: one root task
+// explores the tree, and whenever the pool reports hungry workers a
+// busy searcher donates its shallowest untried subtree (as a pinned
+// prefix, at least 8 accesses deep) onto its own deque for an idle
+// worker to steal — so deep unbalanced trees keep every worker fed
+// instead of idling after a one-shot frontier wave. All tasks share
+// the atomic incumbent and a striped transposition table: the *cost* of
+// the result (and the proof) is identical at any jobs level, while the
+// witness assignment may differ among cost ties and node / steal /
+// split counts vary with scheduling.
 // The search is *anytime*: it is seeded with a greedy incumbent (or the
 // caller's warm start), honors node and wall-clock budgets, and on
 // abort returns the best incumbent with `proven == false` and the
@@ -143,7 +143,11 @@ struct ExactOptions {
   /// (runtime::StealPool) seeded with one root task that donates
   /// subtrees on demand. Proven costs are identical at any level; the
   /// witness assignment may differ among cost ties and node counts
-  /// vary.
+  /// vary. No product surface sets it: the allocator, the tiled solver,
+  /// the CLI and serve always search on one thread. Its only callers
+  /// are perfbench/trace.cpp's work-stealing probe, bench_exact_gap's
+  /// scaling and steal tables and their tests; the parallel path goes
+  /// once the benchmark stops probing it.
   std::size_t jobs = 1;
   /// Transposition-table entry cap; 0 uses the built-in default
   /// (2^21). Lookups past the cap still prune (and are counted in

@@ -155,7 +155,6 @@ TiledResult tiled_min_cost_allocation(const ir::AccessSequence& seq,
                       windows_left,
                   1)
             : std::max<std::uint64_t>(options.max_nodes / fixed_total, 1);
-    exact_options.jobs = options.jobs;
     exact_options.pinned_prefix = pinned;
     exact_options.abort = options.abort;
     if (options.time_budget_ms > 0) {
@@ -174,11 +173,6 @@ TiledResult tiled_min_cost_allocation(const ir::AccessSequence& seq,
         sub_seq, window_model, usable, exact_options);
     result.nodes += window_result.nodes;
     result.table_cap_hits += window_result.table_cap_hits;
-    result.subtree_tasks += window_result.subtree_tasks;
-    result.steals += window_result.steals;
-    result.steal_attempts += window_result.steal_attempts;
-    result.splits += window_result.splits;
-    result.worker_busy_us += window_result.worker_busy_us;
     if (window_result.proven) ++result.windows_proven;
     result.external_abort |= window_result.external_abort;
 

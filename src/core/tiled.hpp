@@ -49,9 +49,8 @@ struct TiledOptions {
   /// next one ~50%, an unproven window narrows it ~33% — within
   /// [min_width, max_width] (clamped to stay above the overlap). The
   /// chosen widths are reported in TiledResult::window_widths.
-  /// Deterministic for a fixed problem when `time_budget_ms == 0` and
-  /// `jobs == 1`; the wall-clock calibration is machine-dependent by
-  /// nature.
+  /// Deterministic for a fixed problem when `time_budget_ms == 0`; the
+  /// wall-clock calibration is machine-dependent by nature.
   bool auto_width = false;
   std::size_t min_width = 10;
   std::size_t max_width = 48;
@@ -60,8 +59,6 @@ struct TiledOptions {
   /// Wall-clock budget in milliseconds (0 disables), split across the
   /// remaining windows as the sweep progresses.
   std::int64_t time_budget_ms = 0;
-  /// Worker threads of each window's search (ExactOptions::jobs).
-  std::size_t jobs = 1;
   /// External cancellation, forwarded to every window's exact solve
   /// (SearchAbortHook). A cancelled sweep keeps the stitched allocation
   /// built so far plus the heuristic completion of the rest.
@@ -77,15 +74,6 @@ struct TiledResult {
   bool proven = false;
   std::uint64_t nodes = 0;
   std::uint64_t table_cap_hits = 0;
-  std::uint64_t subtree_tasks = 0;
-  /// Work-stealing diagnostics summed over every window's solve
-  /// (see ExactResult; all 0 at jobs == 1, schedule-dependent above).
-  std::uint64_t steals = 0;
-  std::uint64_t steal_attempts = 0;
-  std::uint64_t splits = 0;
-  /// Summed ExactResult::worker_busy_us (machine-dependent, never
-  /// serialized).
-  std::uint64_t worker_busy_us = 0;
   std::size_t windows = 0;
   /// Width (in accesses, overlap included) of each window the sweep
   /// actually solved, in order — the auto-tuner's decisions made

@@ -63,10 +63,6 @@ Engine::Engine(Options options)
   phase2_nodes_ = &metrics_->counter("engine.phase2.nodes");
   phase2_windows_ = &metrics_->counter("engine.phase2.windows");
   phase2_windows_proven_ = &metrics_->counter("engine.phase2.windows_proven");
-  phase2_subtree_tasks_ = &metrics_->counter("engine.phase2.subtree_tasks");
-  phase2_steals_ = &metrics_->counter("engine.phase2.steals");
-  phase2_steal_attempts_ = &metrics_->counter("engine.phase2.steal_attempts");
-  phase2_splits_ = &metrics_->counter("engine.phase2.splits");
   store_decode_errors_ = &metrics_->counter("engine.store.decode_errors");
   store_append_errors_ = &metrics_->counter("engine.store.append_errors");
 }
@@ -280,10 +276,6 @@ Result Engine::run(const Request& request) {
     phase2_nodes_->add(result.stats.phase2_nodes);
     phase2_windows_->add(result.stats.phase2_windows);
     phase2_windows_proven_->add(result.stats.phase2_windows_proven);
-    phase2_subtree_tasks_->add(result.stats.phase2_subtree_tasks);
-    phase2_steals_->add(result.stats.phase2_steals);
-    phase2_steal_attempts_->add(result.stats.phase2_steal_attempts);
-    phase2_splits_->add(result.stats.phase2_splits);
   }
 
   result.total_ms = ms_since(start);

@@ -235,8 +235,7 @@ public:
   /// `engine.phase2.*` counters sum the phase-2 work of every result
   /// this engine *computed*; RAM and store hits add nothing. The cache
   /// is single-flight, so each unique fingerprint is computed once and
-  /// the sums are deterministic across jobs levels — node and steal
-  /// counts only at phase2_jobs == 1, where the steal counts are 0.
+  /// the sums are deterministic across jobs levels.
   const std::shared_ptr<obs::Registry>& metrics() const { return metrics_; }
 
   /// Drops every cached RAM entry; returns how many entries were
@@ -266,10 +265,6 @@ private:
   obs::Counter* phase2_nodes_ = nullptr;
   obs::Counter* phase2_windows_ = nullptr;
   obs::Counter* phase2_windows_proven_ = nullptr;
-  obs::Counter* phase2_subtree_tasks_ = nullptr;
-  obs::Counter* phase2_steals_ = nullptr;
-  obs::Counter* phase2_steal_attempts_ = nullptr;
-  obs::Counter* phase2_splits_ = nullptr;
   obs::Counter* store_decode_errors_ = nullptr;
   obs::Counter* store_append_errors_ = nullptr;
 };

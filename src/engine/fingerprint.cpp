@@ -24,7 +24,9 @@ std::string request_fingerprint(const Request& request,
   // window asymmetry, free widths or addressing mode never alias.
   // v4: the parallel solver's steal grain became a constant and left
   // the key.
-  key += "v4|layout=";
+  // v5: phase 2 runs on one thread, so the jobs level left the key and
+  // the phase-2 block lost its four always-zero steal counters.
+  key += "v5|layout=";
   key += request.layout;
   key += "|strat=";
   key += request.strategy;
@@ -51,12 +53,8 @@ std::string request_fingerprint(const Request& request,
   key += std::to_string(request.phase2.max_nodes);
   key += ',';
   key += std::to_string(request.phase2.time_budget_ms);
-  // The jobs level never changes costs, but the serialized diagnostics
-  // (node counts, subtree tasks, steal counts) do vary with it — and
-  // the tile geometry, auto-width included, changes the allocation
-  // itself — so none of them may alias in the cache.
-  key += ',';
-  key += std::to_string(request.phase2.jobs);
+  // The tile geometry, auto-width included, changes the allocation
+  // itself, so no two geometries may alias in the cache.
   key += ',';
   key += std::to_string(request.phase2.tile_width);
   key += ',';

@@ -20,6 +20,11 @@ using support::json_put_string;
 using support::json_put_uint;
 using support::JsonValue;
 
+// Version 2 still names the shape after the four always-zero
+// work-stealing members left the phase-2 block: every record under a
+// v5 fingerprint key (engine/fingerprint.cpp) is written by a build
+// without them, so a record with them is never looked up, and the
+// decoder ignores members it does not read anyway.
 constexpr std::int64_t kCodecVersion = 2;
 
 // Instructions are dense: one array [op, reg, value, access,
@@ -157,10 +162,6 @@ void allocate_from_json(const JsonValue& allocate, const JsonValue& detail,
   stats.phase2_lower_bound = int_of(phase2, "lower_bound");
   stats.phase2_nodes = count(phase2, "nodes");
   stats.phase2_table_cap_hits = count(phase2, "table_cap_hits");
-  stats.phase2_subtree_tasks = count(phase2, "subtree_tasks");
-  stats.phase2_steals = count(phase2, "steals");
-  stats.phase2_steal_attempts = count(phase2, "steal_attempts");
-  stats.phase2_splits = count(phase2, "splits");
   stats.phase2_windows = count(phase2, "windows");
   stats.phase2_windows_proven = count(phase2, "windows_proven");
   for (const JsonValue& width : member(phase2, "window_widths").items()) {

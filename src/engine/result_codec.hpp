@@ -22,9 +22,8 @@
 //  * kernel and machine: the fingerprint key ignores their names, so
 //    the engine re-applies the *requesting* kernel/machine on a store
 //    hit, exactly as it does on a RAM hit;
-//  * wall-clock measurements (stage_ms, total_ms,
-//    stats.phase2_nodes_per_sec): never serialized, so a store-served
-//    response is byte-identical to the cold response;
+//  * wall-clock measurements (stage_ms, total_ms): never serialized,
+//    so a store-served response is byte-identical to the cold response;
 //  * per-call flags (cache_hit, store_hit): properties of the lookup,
 //    not the result.
 //

@@ -71,23 +71,12 @@ void append_result_members(std::string& out, const Result& result) {
     json_put_int(out, ",\"lower_bound\":", stats.phase2_lower_bound);
     json_put_uint(out, ",\"nodes\":", stats.phase2_nodes);
     json_put_uint(out, ",\"table_cap_hits\":", stats.phase2_table_cap_hits);
-    json_put_uint(out, ",\"subtree_tasks\":", stats.phase2_subtree_tasks);
-    // Like subtree_tasks and node counts, the work-stealing counters are
-    // schedule-dependent at phase2_jobs > 1 (and exactly 0 at jobs == 1);
-    // the cost/proof fields above never vary with jobs.
-    json_put_uint(out, ",\"steals\":", stats.phase2_steals);
-    json_put_uint(out, ",\"steal_attempts\":", stats.phase2_steal_attempts);
-    json_put_uint(out, ",\"splits\":", stats.phase2_splits);
     json_put_uint(out, ",\"windows\":", stats.phase2_windows);
     json_put_uint(out, ",\"windows_proven\":", stats.phase2_windows_proven);
     out += ",\"window_widths\":[";
     for (std::size_t i = 0; i < stats.phase2_window_widths.size(); ++i) {
       json_put_uint(out, i == 0 ? "" : ",", stats.phase2_window_widths[i]);
     }
-    // phase2_nodes_per_sec (and the worker busy time behind the bench's
-    // idle fraction) is wall-clock derived and deliberately NOT
-    // serialized: responses stay byte-identical across reruns and jobs
-    // levels (modulo the documented node-count variance).
     out += "]}}";
   }
   if (result.stage_done(Stage::kPlan)) {

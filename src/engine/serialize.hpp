@@ -27,9 +27,7 @@
 //      "allocate": {"k_tilde", "cost", "intra_cost", "wrap_cost",
 //                   "phase1_exact", "merges",
 //                   "phase2": {"exact", "proven", "gap", "lower_bound",
-//                              "nodes", "table_cap_hits",
-//                              "subtree_tasks", "steals",
-//                              "steal_attempts", "splits", "windows",
+//                              "nodes", "table_cap_hits", "windows",
 //                              "windows_proven", "window_widths"}},
 //      "plan":     {"modify_registers": [{"value", "covered"}, ...],
 //                   "covered_per_iteration", "residual_cost"},

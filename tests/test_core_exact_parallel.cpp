@@ -64,36 +64,33 @@ TEST(ParallelExact, ProvenCostsMatchSequentialAcrossJobs) {
 }
 
 TEST(ParallelExact, FullBuiltinMachineCatalogAgreesAcrossJobsLevels) {
-  // The satellite guarantee behind `--phase2-jobs`: on every catalog
-  // machine (its own K, modify window and free widths), the proven
-  // phase-2 cost and the total allocation cost are identical at jobs
+  // On every catalog machine's cost model (its own K, modify window and
+  // free widths), the proven cost and the proof are identical at jobs
   // 1, 4 and 8.
   const std::vector<agu::AguSpec> machines = agu::builtin_machines();
   ASSERT_FALSE(machines.empty());
   for (const agu::AguSpec& machine : machines) {
     const AccessSequence seq =
         hard_pattern(16, 0xCA7 ^ machine.address_registers());
-    int serial_cost = 0;
-    bool serial_proven = false;
-    for (const std::size_t jobs : {1u, 4u, 8u}) {
-      ProblemConfig config;
-      config.registers = machine.address_registers();
-      config.modify_range = machine.modify_range();
-      config.modify_lo = machine.modify_lo;
-      config.modify_hi = machine.modify_hi;
-      config.free_widths = machine.free_widths;
-      config.phase2.mode = Phase2Options::Mode::kExact;
-      config.phase2.jobs = jobs;
-      const Allocation a = RegisterAllocator(config).run(seq);
-      if (jobs == 1) {
-        serial_cost = a.cost();
-        serial_proven = a.stats().phase2_proven;
-      } else {
-        EXPECT_EQ(a.cost(), serial_cost)
-            << machine.name << " jobs=" << jobs;
-        EXPECT_EQ(a.stats().phase2_proven, serial_proven)
-            << machine.name << " jobs=" << jobs;
-      }
+    ProblemConfig config;
+    config.modify_range = machine.modify_range();
+    config.modify_lo = machine.modify_lo;
+    config.modify_hi = machine.modify_hi;
+    config.free_widths = machine.free_widths;
+    const CostModel model = config.cost_model();
+    const std::size_t registers = machine.address_registers();
+    const ExactResult serial =
+        exact_min_cost_allocation(seq, model, registers);
+    for (const std::size_t jobs : {4u, 8u}) {
+      ExactOptions options;
+      options.jobs = jobs;
+      const ExactResult parallel =
+          exact_min_cost_allocation(seq, model, registers, options);
+      EXPECT_EQ(parallel.cost, serial.cost)
+          << machine.name << " jobs=" << jobs;
+      EXPECT_EQ(parallel.proven, serial.proven)
+          << machine.name << " jobs=" << jobs;
+      validate_allocation(seq, parallel.paths, registers);
     }
   }
 }

@@ -160,26 +160,6 @@ TEST(Tiled, WholeBodyBoundDoesNotNarrowALargeRegisterCount) {
   EXPECT_EQ(tiled.stats().phase2_gap, tiled.cost());
 }
 
-TEST(Tiled, ParallelWindowsMatchSequentialWhenProven) {
-  const AccessSequence seq = pattern(44, 37);
-  TiledOptions serial_options;
-  serial_options.tile_width = 14;
-  serial_options.tile_overlap = 4;
-  TiledOptions parallel_options = serial_options;
-  parallel_options.jobs = 4;
-  const TiledResult serial =
-      tiled_min_cost_allocation(seq, kM1, 3, serial_options);
-  const TiledResult parallel =
-      tiled_min_cost_allocation(seq, kM1, 3, parallel_options);
-  // Window-level proofs make the sweep deterministic: every window is
-  // solved to in-window optimality with the same pinned boundary, so
-  // the stitched costs agree.
-  ASSERT_EQ(serial.windows_proven, serial.windows);
-  ASSERT_EQ(parallel.windows_proven, parallel.windows);
-  EXPECT_EQ(parallel.cost, serial.cost);
-  validate_allocation(seq, parallel.paths, 3);
-}
-
 TEST(Tiled, FixedSweepReportsTheConstantWindowWidths) {
   const AccessSequence seq = pattern(60, 43);
   TiledOptions options;

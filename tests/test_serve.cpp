@@ -343,26 +343,6 @@ TEST(Serve, RejectsOffsetsAndStridesBeyondTheKernelBound) {
                   ->as_bool());
 }
 
-TEST(Serve, RejectsPhase2JobsAboveTheCap) {
-  // Every phase-2 job is a thread, so the field is capped at a fixed
-  // 64. The request stops after lower: it is rejected while it is
-  // parsed, and no solve ever sees the value.
-  const std::vector<std::string> lines = serve_lines(
-      "{\"id\":1,\"builtin\":\"fir\",\"phase2_jobs\":1000000,"
-      "\"stop_after\":\"lower\"}\n"
-      "{\"id\":2,\"builtin\":\"fir\",\"phase2_jobs\":65,"
-      "\"stop_after\":\"lower\"}\n");
-  ASSERT_EQ(lines.size(), 2u);
-  for (const std::string& line : lines) {
-    const JsonValue response = JsonValue::parse(line);
-    const JsonValue* error = response.find("error");
-    ASSERT_NE(error, nullptr) << line;
-    EXPECT_EQ(error->find("stage")->as_string(), "request");
-    EXPECT_NE(error->find("message")->as_string().find("phase2_jobs"),
-              std::string::npos);
-  }
-}
-
 TEST(Serve, HugeKernelIterationsAreFineForPipelinePrefixes) {
   // The cap guards the simulate stage only; an allocation-only request
   // on the same kernel is cheap and must go through.
@@ -491,7 +471,7 @@ TEST(Serve, JobsLevelsAnswerAShuffledWorkloadByteIdentically) {
 TEST(Serve, TiledPhase2AndJobsKnob) {
   const std::vector<std::string> lines = serve_lines(
       "{\"id\":1,\"builtin\":\"biquad\",\"registers\":2,"
-      "\"phase2\":\"tiled\",\"phase2_jobs\":2}\n"
+      "\"phase2\":\"tiled\"}\n"
       "{\"id\":2,\"builtin\":\"biquad\",\"registers\":2,"
       "\"phase2\":\"exact\"}\n");
   ASSERT_EQ(lines.size(), 2u);
@@ -504,42 +484,31 @@ TEST(Serve, TiledPhase2AndJobsKnob) {
   EXPECT_LE(phase2->find("windows_proven")->as_int(),
             phase2->find("windows")->as_int());
   ASSERT_NE(phase2->find("table_cap_hits"), nullptr) << lines[0];
-  ASSERT_NE(phase2->find("subtree_tasks"), nullptr) << lines[0];
-  // The same request at a different jobs level answers with the same
-  // cost — `phase2_jobs` must never leak into the result.
-  const std::vector<std::string> serial = serve_lines(
-      "{\"id\":1,\"builtin\":\"biquad\",\"registers\":2,"
-      "\"phase2\":\"tiled\",\"phase2_jobs\":1}\n");
-  ASSERT_EQ(serial.size(), 1u);
-  EXPECT_EQ(JsonValue::parse(serial[0])
-                .find("stages")
-                ->find("allocate")
-                ->find("cost")
-                ->as_int(),
-            tiled.find("stages")->find("allocate")->find("cost")->as_int());
-}
-
-TEST(Serve, RejectsNonPositivePhase2Jobs) {
-  const std::vector<std::string> lines = serve_lines(
-      "{\"id\":1,\"builtin\":\"fir\",\"phase2_jobs\":0}\n"
-      "{\"id\":2,\"builtin\":\"fir\"}\n");
-  ASSERT_EQ(lines.size(), 2u);
-  const JsonValue error = JsonValue::parse(lines[0]);
-  ASSERT_NE(error.find("error"), nullptr) << lines[0];
-  EXPECT_EQ(error.find("error")->find("stage")->as_string(), "request");
-  // The loop survives the bad request.
-  EXPECT_EQ(JsonValue::parse(lines[1]).find("error"), nullptr);
+  EXPECT_EQ(JsonValue::parse(lines[1]).find("error"), nullptr) << lines[1];
 }
 
 TEST(Serve, RejectsTheRemovedStealGrainField) {
-  // The parallel solver's steal grain is a constant; the field is
-  // unknown like any typo.
+  // The parallel solver's steal grain is a constant and phase 2 runs on
+  // one thread, so both removed fields are unknown like any typo, and
+  // the loop keeps serving after them.
   const std::vector<std::string> lines = serve_lines(
-      "{\"id\":1,\"builtin\":\"fir\",\"phase2_steal_grain\":4}\n");
-  ASSERT_EQ(lines.size(), 1u);
-  const JsonValue error = JsonValue::parse(lines[0]);
-  ASSERT_NE(error.find("error"), nullptr) << lines[0];
-  EXPECT_EQ(error.find("error")->find("stage")->as_string(), "request");
+      "{\"id\":1,\"builtin\":\"fir\",\"phase2_steal_grain\":4}\n"
+      "{\"id\":2,\"builtin\":\"fir\",\"phase2_jobs\":1}\n"
+      "{\"id\":3,\"builtin\":\"fir\"}\n");
+  ASSERT_EQ(lines.size(), 3u);
+  const char* const fields[] = {"phase2_steal_grain", "phase2_jobs"};
+  for (int i = 0; i < 2; ++i) {
+    const JsonValue error = JsonValue::parse(lines[i]);
+    ASSERT_NE(error.find("error"), nullptr) << lines[i];
+    EXPECT_EQ(error.find("error")->find("stage")->as_string(), "request");
+    EXPECT_NE(error.find("error")->find("message")->as_string().find(
+                  fields[i]),
+              std::string::npos)
+        << lines[i];
+  }
+  const JsonValue good = JsonValue::parse(lines[2]);
+  EXPECT_EQ(good.find("error"), nullptr) << lines[2];
+  EXPECT_EQ(good.find("id")->as_int(), 3);
 }
 
 TEST(Serve, CacheCapacityZeroDisablesHits) {
@@ -584,9 +553,45 @@ TEST(Serve, StatsCarriesPhase2TotalsDeterministicallyAcrossJobs) {
   EXPECT_GE(phase2->find("nodes")->as_int(), 1);
   EXPECT_GE(phase2->find("windows")->as_int(), 1);
   ASSERT_NE(phase2->find("windows_proven"), nullptr);
-  ASSERT_NE(phase2->find("subtree_tasks"), nullptr);
   // The legacy grep contract: "hits" is still the first stats member.
   EXPECT_NE(expected[3].find("\"stats\":{\"hits\":"), std::string::npos);
+}
+
+TEST(Serve, StatsPhase2BlockHasExactlyTheSearchTotals) {
+  // The stats line's phase-2 block is the engine's `engine.phase2.*`
+  // counters, prefix stripped, in registration order. Pinning both
+  // means a new counter lands in either only on purpose.
+  const std::vector<std::string> lines = serve_lines(
+      "{\"builtin\":\"fir\",\"registers\":2,\"phase2\":\"exact\"}\n"
+      "{\"stats\":true}\n"
+      "{\"metrics\":true}\n");
+  ASSERT_EQ(lines.size(), 3u);
+  const std::vector<std::string> expected = {"proven", "nodes", "windows",
+                                             "windows_proven"};
+
+  const JsonValue stats = JsonValue::parse(lines[1]);
+  const JsonValue* phase2 = stats.find("stats")->find("phase2");
+  ASSERT_NE(phase2, nullptr) << lines[1];
+  std::vector<std::string> stats_names;
+  for (const JsonValue::Member& member : phase2->members()) {
+    stats_names.push_back(member.first);
+  }
+  EXPECT_EQ(stats_names, expected) << lines[1];
+
+  const JsonValue metrics = JsonValue::parse(lines[2]);
+  const JsonValue* counters = metrics.find("metrics")->find("counters");
+  ASSERT_NE(counters, nullptr) << lines[2];
+  const std::string prefix = "engine.phase2.";
+  std::vector<std::string> counter_names;
+  for (const JsonValue::Member& member : counters->members()) {
+    if (member.first.compare(0, prefix.size(), prefix) == 0) {
+      counter_names.push_back(member.first.substr(prefix.size()));
+    }
+  }
+  std::vector<std::string> sorted_expected = expected;
+  std::sort(sorted_expected.begin(), sorted_expected.end());
+  std::sort(counter_names.begin(), counter_names.end());
+  EXPECT_EQ(counter_names, sorted_expected) << lines[2];
 }
 
 TEST(Serve, RestartOverSameStoreAnswersByteIdenticallyFromDisk) {
