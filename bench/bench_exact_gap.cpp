@@ -12,7 +12,8 @@
 // Three further tables exercise the parallel and tiled solvers, two on
 // real unrolled workloads (workloads/*.kern):
 //  * the anytime ladder — heuristic vs tiled vs full exact on the
-//    50–200-access kernels the tiled mode exists for;
+//    50–200-access kernels the tiled mode exists for, with the root
+//    bounds of the matching and of the register-cycle assignment;
 //  * the scaling table — prefixes of the unrolled stencil at growing N
 //    under a fixed wall-clock budget, sequential vs parallel, with the
 //    max proven N per jobs level;
@@ -40,6 +41,7 @@
 
 #include "baselines/baselines.hpp"
 #include "core/allocator.hpp"
+#include "core/bounds.hpp"
 #include "core/exact.hpp"
 #include "core/tiled.hpp"
 #include "eval/patterns.hpp"
@@ -153,7 +155,8 @@ void print_workload_ladder() {
   const core::CostModel model{1, core::WrapPolicy::kCyclic};
 
   support::Table table({"workload", "N", "K", "heuristic", "tiled",
-                        "windows proven", "exact", "exact status"});
+                        "windows proven", "matching bound", "cycle bound",
+                        "exact", "exact status"});
   for (const char* file :
        {"fir64_unroll4.kern", "stencil3x3_unroll8.kern"}) {
     const ir::AccessSequence seq = load_workload(file);
@@ -175,6 +178,8 @@ void print_workload_ladder() {
     const core::ExactResult exact =
         core::exact_min_cost_allocation(seq, model, kRegisters,
                                         exact_options);
+    const core::SuffixBounds bounds(seq, model);
+    const core::CycleDuals cycles(bounds, 0, {}, {}, kRegisters);
 
     table.add_row({
         file,
@@ -184,6 +189,8 @@ void print_workload_ladder() {
         std::to_string(tiled.cost),
         std::to_string(tiled.windows_proven) + "/" +
             std::to_string(tiled.windows),
+        std::to_string(bounds.root_lower_bound(kRegisters)),
+        std::to_string(cycles.value()),
         std::to_string(exact.cost),
         exact.proven ? "proven"
                      : "gap " + std::to_string(exact.gap()),
@@ -193,7 +200,10 @@ void print_workload_ladder() {
             << kWorkloadBudgetMs << " ms budget per solver)\n\n";
   table.write(std::cout);
   std::cout << "\nheuristic = paper's two-phase merge; tiled = windowed "
-               "exact + stitching;\nexact = full anytime search on one "
+               "exact + stitching;\nmatching bound = the free-step "
+               "matching's max(0, K~acyc - K) at the root;\ncycle bound "
+               "= the register-cycle assignment's value at the root "
+               "(core::CycleDuals);\nexact = full anytime search on one "
                "thread, as the allocator runs it.\n\n";
 }
 

@@ -397,73 +397,97 @@ bool ResidualMatching::search_right(std::size_t right) {
   return false;
 }
 
-EntryDuals::EntryDuals(const SuffixBounds& bounds, std::size_t next,
+CycleDuals::CycleDuals(const SuffixBounds& bounds, std::size_t next,
+                       const std::vector<std::size_t>& firsts,
                        const std::vector<std::size_t>& lasts,
-                       std::size_t unused)
-    : next_(next) {
-  check_arg(bounds.dense(), "EntryDuals: needs dense bounds");
+                       std::size_t registers) {
+  check_arg(bounds.dense(), "CycleDuals: needs dense bounds");
   const std::size_t n = bounds.size();
-  check_arg(next <= n, "EntryDuals: access index out of range");
-  check_arg(next == n || !lasts.empty() || unused > 0,
-            "EntryDuals: no register can enter the next access");
-  constexpr std::size_t kUnused = ResidualMatching::kNoAccess;
-  const std::size_t rows = n - next;
-  // Columns 1.. are the entries: the open registers' last accesses, U,
-  // then the unused registers. Column 0 is the method's virtual column
-  // that each phase's augmenting path starts from.
-  std::vector<std::size_t> entry{kUnused};
-  for (const std::size_t last : lasts) {
-    check_arg(last < next, "EntryDuals: last access not assigned");
-    entry.push_back(last);
+  check_arg(next <= n, "CycleDuals: access index out of range");
+  const std::size_t open = lasts.size();
+  check_arg(firsts.size() == open && open <= registers,
+            "CycleDuals: one first and one last per open register, at "
+            "most K of them");
+  for (std::size_t r = 0; r < open; ++r) {
+    check_arg(firsts[r] <= lasts[r] && lasts[r] < next,
+              "CycleDuals: an open register's access is not assigned");
   }
-  for (std::size_t p = next; p < n; ++p) entry.push_back(p);
-  entry.insert(entry.end(), unused, kUnused);
-  const std::size_t cols = entry.size() - 1;
-  // An assignment through a forbidden entry (p >= q) costs more than
-  // any feasible one (at most one per access), so no optimum uses one.
-  const int forbidden = static_cast<int>(rows) + 1;
-  const auto cost = [&](std::size_t row, std::size_t col) {
-    const std::size_t q = next + row - 1;
-    const std::size_t p = entry[col];
-    if (p == kUnused) return 0;
-    return p < q ? bounds.intra_cost(p, q) : forbidden;
-  };
+  // Some completion must exist: with none, every permutation keeps a
+  // priced edge beyond the budget and the λ loop below never stops.
+  check_arg(next == n || registers > 0,
+            "CycleDuals: no register can take the unassigned accesses");
+  const std::size_t unassigned = n - next;
+  const std::size_t size = unassigned + open;
+  const int budget = static_cast<int>(registers - open);
+
+  // Rows 1..|U| are the accesses of U in order, then register r's first
+  // is row |U| + 1 + r; columns 1..|U| are U again, then register r's
+  // last is column |U| + 1 + r. Row and column 0 are the method's
+  // virtual start. Column j <= |U| is priced for row i <= |U| iff
+  // j >= i: q = next + i - 1 <= p = next + j - 1.
+  constexpr int kAbsent = -1;
+  std::vector<int> cost(size * size);
+  for (std::size_t i = 0; i < unassigned; ++i) {
+    const std::size_t q = next + i;
+    int* costs = cost.data() + i * size;
+    for (std::size_t j = 0; j < unassigned; ++j) {
+      const std::size_t p = next + j;
+      costs[j] = j < i ? bounds.intra_cost(p, q) : bounds.wrap_direct(p, q);
+    }
+    for (std::size_t r = 0; r < open; ++r) {
+      costs[unassigned + r] = bounds.intra_cost(lasts[r], q);
+    }
+  }
+  for (std::size_t r = 0; r < open; ++r) {
+    int* costs = cost.data() + (unassigned + r) * size;
+    for (std::size_t j = 0; j < unassigned; ++j) {
+      costs[j] = bounds.wrap_direct(next + j, firsts[r]);
+    }
+    for (std::size_t s = 0; s < open; ++s) {
+      costs[unassigned + s] =
+          s == r ? bounds.wrap_direct(lasts[r], firsts[r]) : kAbsent;
+    }
+  }
 
   // The Hungarian method, one row at a time: a Dijkstra search in
-  // reduced costs for the cheapest augmenting path from the new row,
-  // then the potentials move so the path's edges become tight. owner[c]
-  // is the row assigned to column c (0: none); rows and columns are
-  // numbered from 1.
-  std::vector<int> u(rows + 1, 0);
-  std::vector<int> v(cols + 1, 0);
-  std::vector<int> min_reduced(cols + 1);
-  std::vector<std::size_t> owner(cols + 1, 0);
-  std::vector<std::size_t> way(cols + 1, 0);
-  std::vector<char> reached(cols + 1);
-  for (std::size_t row = 1; row <= rows; ++row) {
+  // reduced costs for the cheapest augmenting path from the row, then
+  // the potentials move so the path's edges become tight. owner[c] is
+  // the row matched to column c (0: none). Each row closes through its
+  // own priced self-edge, so an augmenting path always exists.
+  constexpr int kInfinity = std::numeric_limits<int>::max() / 2;
+  std::vector<int> u(size + 1, 0);
+  std::vector<int> v(size + 1, 0);
+  std::vector<int> min_reduced(size + 1);
+  std::vector<std::size_t> owner(size + 1, 0);
+  std::vector<std::size_t> way(size + 1, 0);
+  std::vector<char> reached(size + 1);
+  const auto augment = [&](std::size_t row) {
     owner[0] = row;
     std::size_t col0 = 0;
-    std::fill(min_reduced.begin(), min_reduced.end(),
-              std::numeric_limits<int>::max());
+    std::fill(min_reduced.begin(), min_reduced.end(), kInfinity);
     std::fill(reached.begin(), reached.end(), 0);
     do {
       reached[col0] = 1;
       const std::size_t row0 = owner[col0];
-      int delta = std::numeric_limits<int>::max();
+      const int* costs = cost.data() + (row0 - 1) * size;
+      int delta = kInfinity;
       std::size_t col1 = 0;
-      for (std::size_t col = 1; col <= cols; ++col) {
+      for (std::size_t col = 1; col <= size; ++col) {
         if (reached[col] != 0) continue;
-        const int reduced = cost(row0, col) - u[row0] - v[col];
-        if (reduced < min_reduced[col]) {
-          min_reduced[col] = reduced;
-          way[col] = col0;
+        if (costs[col - 1] != kAbsent) {
+          const int reduced = costs[col - 1] - u[row0] - v[col];
+          if (reduced < min_reduced[col]) {
+            min_reduced[col] = reduced;
+            way[col] = col0;
+          }
         }
         if (min_reduced[col] < delta) {
           delta = min_reduced[col];
           col1 = col;
         }
       }
-      for (std::size_t col = 0; col <= cols; ++col) {
+      check_invariant(col1 != 0, "CycleDuals: no augmenting path");
+      for (std::size_t col = 0; col <= size; ++col) {
         if (reached[col] != 0) {
           u[owner[col]] += delta;
           v[col] -= delta;
@@ -478,30 +502,72 @@ EntryDuals::EntryDuals(const SuffixBounds& bounds, std::size_t next,
       owner[col0] = owner[col1];
       col0 = col1;
     } while (col0 != 0);
+  };
+  for (std::size_t row = 1; row <= size; ++row) augment(row);
+
+  // Raise λ while the value rises. The optimum at λ stays a permutation
+  // at λ + 1, dearer by its priced edges, so the value can rise only
+  // while the optimum has more than K - used of them. Raising costs
+  // keeps the duals feasible and every other matched edge tight, so a
+  // warm re-solve re-augments just the rows matched through a priced
+  // edge.
+  rows_.assign(n, 0);
+  columns_.assign(n, 0);
+  std::vector<std::size_t> repriced;
+  for (int lambda = 0;; ++lambda) {
+    int dual_sum = 0;
+    int assigned = 0;
+    for (std::size_t k = 1; k <= size; ++k) {
+      const int edge = cost[(owner[k] - 1) * size + (k - 1)];
+      check_invariant(edge != kAbsent,
+                      "CycleDuals: a register wraps into another's first");
+      dual_sum += u[k] + v[k];
+      assigned += edge;
+    }
+    check_invariant(dual_sum == assigned,
+                    "CycleDuals: the duals do not sum to the optimum");
+    const int value = dual_sum - lambda * budget;
+    if (lambda > 0 && value <= value_) break;
+    lambda_ = lambda;
+    value_ = value;
+    for (std::size_t i = 0; i < unassigned; ++i) {
+      rows_[next + i] = u[i + 1];
+      columns_[next + i] = v[i + 1];
+    }
+    for (std::size_t r = 0; r < open; ++r) {
+      rows_[firsts[r]] = u[unassigned + 1 + r];
+      columns_[lasts[r]] = v[unassigned + 1 + r];
+    }
+    repriced.clear();
+    for (std::size_t col = 1; col <= unassigned; ++col) {
+      if (owner[col] <= col) repriced.push_back(col);
+    }
+    if (repriced.size() <= static_cast<std::size_t>(budget)) break;
+    for (std::size_t i = 0; i < unassigned; ++i) {
+      int* costs = cost.data() + i * size;
+      for (std::size_t j = i; j < unassigned; ++j) ++costs[j];
+    }
+    for (std::size_t& col : repriced) {
+      const std::size_t row = owner[col];
+      owner[col] = 0;
+      col = row;
+    }
+    for (const std::size_t row : repriced) augment(row);
   }
 
-  // Matched pairs are tight and unmatched columns never moved from 0,
-  // so the duals sum to the assignment's cost.
-  int assigned = 0;
-  int dual_sum = 0;
-  for (std::size_t row = 1; row <= rows; ++row) dual_sum += u[row];
-  rows_.assign(u.begin() + 1, u.end());
-  columns_.assign(n, 0);
-  for (std::size_t col = 1; col <= cols; ++col) {
-    if (owner[col] != 0) assigned += cost(owner[col], col);
-    dual_sum += v[col];
-    if (entry[col] == kUnused) {
-      fresh_.push_back(v[col]);
-    } else {
-      columns_[entry[col]] = v[col];
+  // Opening q gains min(λ, s), s the least reduced cost at λ of the
+  // wraps into q: from every p >= q, all still unassigned when q is
+  // the next access to place.
+  opening_.assign(n, 0);
+  for (std::size_t q = next; q < n; ++q) {
+    int slack = lambda_;
+    for (std::size_t p = q; p < n; ++p) {
+      slack = std::min(slack, bounds.wrap_direct(p, q) + lambda_ -
+                                  rows_[q] - columns_[p]);
     }
+    check_invariant(slack >= 0, "CycleDuals: the duals are infeasible");
+    opening_[q] = slack;
   }
-  check_invariant(assigned < forbidden,
-                  "EntryDuals: an access was assigned a forbidden entry");
-  check_invariant(dual_sum == assigned,
-                  "EntryDuals: the duals do not sum to the optimum");
-  std::sort(fresh_.begin(), fresh_.end());
-  optimum_ = assigned;
 }
 
 }  // namespace dspaddr::core

@@ -28,12 +28,13 @@
 //   usable by a partial assignment, repaired incrementally as the
 //   search assigns and undoes accesses — the same Araujo et al. bound,
 //   applied at every search node instead of only at the root.
-// * EntryDuals: the same matching with step costs and a register
-//   budget — a minimum-cost assignment whose optimum is the exact
-//   least intra cost of completing a partial assignment on at most K
-//   registers — solved once by the Hungarian method. Its LP duals stay
-//   feasible below the solved state, so a search keeps their sum as a
-//   bound at O(1) per move.
+// * CycleDuals: every register of a completion is a cycle of steps and
+//   one wrap, so a completion is an assignment of each access to its
+//   predecessor; priced at the step and wrap costs, with a Lagrangian
+//   price per register opened, that assignment bounds the intra plus
+//   wrap cost still to pay. It is solved once by the Hungarian method;
+//   its LP duals stay feasible below the solved state, so a search
+//   keeps their sum as a bound at O(1) per move.
 #pragma once
 
 #include <cstddef>
@@ -66,15 +67,14 @@ namespace dspaddr::core {
 ///    access has at most one successor in its register, so the free
 ///    entries form a matching on the free intra edges: at least
 ///    |U| - unused - M entries pay, with M a maximum such matching
-///    (ResidualMatching, built on the bitset rows here). Priced at the
-///    step costs with the unused registers as entries of their own,
-///    the entries form an assignment whose optimum is the exact least
-///    intra cost (EntryDuals);
+///    (ResidualMatching, built on the bitset rows here);
 ///  * every open register eventually wraps from its final access back to
 ///    its first — the cheapest wrap over "stop now" and every possible
 ///    future final access never overestimates.
 /// The components are disjoint (intra transitions into unassigned
 /// accesses vs. wrap transitions), so their sum is admissible too.
+/// CycleDuals prices both at once: each access's predecessor, a step or
+/// its register's wrap, is one edge of an assignment.
 class SuffixBounds {
  public:
   /// Above this many accesses the O(N^2) rows are not built and every
@@ -383,78 +383,102 @@ class ResidualMatching {
   std::vector<Step> steps_;
 };
 
-/// LP duals of the minimum-cost entry assignment of a partial
-/// assignment: every unassigned access q of U = [next, N) takes exactly
-/// one entry — an open register's last access, an earlier access of U,
-/// or one of the unused registers — and each entry serves at most one
-/// access. Entering q from p costs intra_cost(p, q) (p < q only), from
-/// an unused register 0. Every completion onto at most K registers is
-/// such an assignment and every assignment chains U into such a
-/// completion, so the optimum is the exact minimum intra cost of
-/// finishing on at most K registers: ResidualMatching's matching, with
-/// costs and a register budget.
+/// LP duals of the register-cycle assignment of a partial assignment,
+/// the relaxation that prices wraps together with steps. In a
+/// completion every register is a cycle: each access has one
+/// predecessor, the access before it in its register or, for the
+/// register's first access, its final one (the wrap). So a completion
+/// is a permutation of
+///  * rows, the accesses that still need a predecessor: the unassigned
+///    accesses U = [next, N) and the open registers' first accesses,
+///  * onto columns, the accesses that still need a successor: U and the
+///    open registers' last accesses,
+/// where an edge p -> q costs
+///  * intra_cost(p, q) when p < q (a step);
+///  * wrap_direct(p, q) when q is an open register's first access and p
+///    is that register's own last access or any access of U (the
+///    register's final access); never from another register's last;
+///  * wrap_direct(p, q) + λ when q <= p are both in U: q opens a new
+///    register whose final access is p, priced λ per register.
+/// A completion on at most K registers is such a permutation with at
+/// most K - used priced edges, so for every λ >= 0 the optimum minus
+/// λ * (K - used) is a lower bound on the intra plus wrap cost still to
+/// pay. Other permutations (cycles that close through several priced
+/// edges) only lower the optimum. The value is concave in λ; the build
+/// raises an integer λ from 0 while the value rises and keeps the
+/// largest.
 ///
-/// The Hungarian method solves it in O(|U|^2 * columns) and leaves a
-/// row dual u per access of U and a column dual v <= 0 per entry, with
-/// u[q] + v[p] <= cost(p, q) and Σu + Σv = the optimum. A search move
-/// deletes one row and one column — q after last access L deletes row
-/// q and column L (q takes L's place as the register's last access);
-/// q opening a register deletes row q and one unused-register column —
-/// so the duals left stay feasible for the child's assignment, and by
-/// weak duality their sum never exceeds the intra cost the child still
-/// has to pay. The unused registers' columns are interchangeable, so
-/// the k-th opening since the start deletes the k-th most negative of
-/// them and the sum stays a function of the state. A caller keeps the
-/// running sum at O(1) per move with price().
-class EntryDuals {
+/// The Hungarian method solves the square assignment in O(rows^3);
+/// each step of λ re-augments only the rows matched through a priced
+/// edge, the duals staying feasible because costs only grow. It leaves
+/// a row dual u and a column dual v per access with u[q] + v[p] <=
+/// cost(p, q) and Σu + Σv = the optimum. A search move keeps the duals
+/// feasible for the child's assignment:
+///  * q after last access L deletes row q and column L (q takes L's
+///    place as the register's last access; its edges to other
+///    registers' firsts become forbidden, which only raises costs);
+///  * q opening a register deletes nothing: row q becomes the new
+///    first and column q the new last, and K - used drops by one, which
+///    raises the value by λ. The edges into q, the wraps from the
+///    accesses p >= q (all still unassigned when q opens), get λ
+///    cheaper; with s their least reduced cost, u[q] drops by
+///    max(0, λ - s) to stay feasible, so the value rises by min(λ, s),
+///    tabulated once per access by the build.
+/// By weak duality the value walked down this way never exceeds the
+/// cost the child still has to pay, wraps included. A caller keeps it
+/// at O(1) per move with price().
+class CycleDuals {
  public:
   /// Largest |U| the search solves the assignment for; above it the
-  /// search keeps the matching bound alone. The Hungarian's cost grows
-  /// as |U|^3: on a 4-vCPU Xeon VM one solve took about 0.4 ms at 64
-  /// unassigned accesses, 2.4-3.2 ms at 128, 18-22 ms at 256 and
-  /// 160-220 ms at 512.
+  /// search keeps the matching bound alone. One solve costs O(rows^3),
+  /// and each λ step re-augments the rows matched through a priced
+  /// edge: on a 4-vCPU Xeon VM a build at the empty prefix took
+  /// 0.05-0.16 ms at 28-32 accesses, about 0.3 ms at 48-56, 1.3-1.5 ms
+  /// at 64, 9-10 ms at 128 and 70-85 ms at 256.
   static constexpr std::size_t kMaxRows = 128;
 
   /// Solves the assignment for the state where accesses [0, next) are
-  /// assigned, `lasts` are the open registers' last accesses and
-  /// `unused` registers are still unused. `bounds` must be dense, and
-  /// the state must leave U an entry: some open or unused register.
-  EntryDuals(const SuffixBounds& bounds, std::size_t next,
-             const std::vector<std::size_t>& lasts, std::size_t unused);
+  /// assigned, `firsts` and `lasts` are the open registers' first and
+  /// last accesses (by register) and `registers` is K, at least the
+  /// number of open registers and at least 1 while an access is
+  /// unassigned. `bounds` must be dense.
+  CycleDuals(const SuffixBounds& bounds, std::size_t next,
+             const std::vector<std::size_t>& firsts,
+             const std::vector<std::size_t>& lasts, std::size_t registers);
 
-  /// The assignment's optimum, Σu + Σv.
-  int optimum() const { return optimum_; }
+  /// The price per register the build kept.
+  int lambda() const { return lambda_; }
 
-  /// The row dual of access q of U.
-  int row(std::size_t q) const { return rows_[q - next_]; }
+  /// The bound at the solved state: Σu + Σv - λ * (K - used).
+  int value() const { return value_; }
 
-  /// The column dual of access p as an entry: one of `lasts` or of U
-  /// (0 for any other access).
+  /// The row dual of access q: one of U or of `firsts` (0 for any other
+  /// access).
+  int row(std::size_t q) const { return rows_[q]; }
+
+  /// The column dual of access p: one of U or of `lasts` (0 for any
+  /// other access).
   int column(std::size_t p) const { return columns_[p]; }
 
-  /// The k-th most negative of the unused registers' column duals,
-  /// k < unused.
-  int fresh(std::size_t k) const { return fresh_[k]; }
-
-  /// How much the dual sum drops when `access` (the first unassigned
-  /// one) follows `previous_last`, or, with previous_last ==
-  /// ResidualMatching::kNoAccess, opens the `opened`-th register since
-  /// the solved state (counting from 0).
-  int price(std::size_t access, std::size_t previous_last,
-            std::size_t opened) const {
-    return row(access) + (previous_last == ResidualMatching::kNoAccess
-                              ? fresh(opened)
-                              : column(previous_last));
+  /// How much the value drops when `access` (the first unassigned one)
+  /// follows `previous_last`, or, with previous_last ==
+  /// ResidualMatching::kNoAccess, opens a register: never positive for
+  /// an opening, whose price is minus its gain.
+  int price(std::size_t access, std::size_t previous_last) const {
+    return previous_last == ResidualMatching::kNoAccess
+               ? -opening_[access]
+               : rows_[access] + columns_[previous_last];
   }
 
  private:
-  std::size_t next_;
-  int optimum_ = 0;
+  int lambda_ = 0;
+  int value_ = 0;
+  /// Indexed by access; 0 outside U and the open registers' endpoints.
   std::vector<int> rows_;
-  /// Indexed by access; 0 outside `lasts` and U.
   std::vector<int> columns_;
-  /// Ascending: most negative first.
-  std::vector<int> fresh_;
+  /// Per access of U, how much the value rises when it opens a
+  /// register: min(λ, the least reduced cost of a wrap into it).
+  std::vector<int> opening_;
 };
 
 }  // namespace dspaddr::core

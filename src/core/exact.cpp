@@ -170,10 +170,10 @@ struct SearchContext {
   /// the nearest endpoint first, by |offset distance|, fresh last.
   bool nearest_first = false;
   /// True when searchers that pass their first 1024-node checkpoint
-  /// add the entry assignment's duals (core::EntryDuals) to their
-  /// bound. Phase 2 only: phase 1's trees, covers and node counts stay
-  /// those of the matching bound.
-  bool entry_duals = false;
+  /// add the register-cycle assignment's duals (core::CycleDuals) to
+  /// their bound. Phase 2 only: phase 1's trees, covers and node counts
+  /// stay those of the matching bound.
+  bool cycle_duals = false;
   bool has_deadline = false;
   Clock::time_point deadline;
 
@@ -314,7 +314,7 @@ class Searcher {
     arena_.clear();
     aborted_ = false;
     duals_.reset();
-    duals_tried_ = !(ctx_.entry_duals && use_bound_terms_);
+    duals_tried_ = !(ctx_.cycle_duals && use_bound_terms_);
   }
 
   /// Applies a pinned prefix and returns its transition cost.
@@ -365,27 +365,27 @@ class Searcher {
   }
 
   /// Admissible lower bound on partial cost + everything still to pay,
-  /// evaluated from the residual matching, the entry duals' running sum
-  /// and the per-register caches alone. Intra term: an unassigned
-  /// access that neither opens an unused register nor follows a matched
-  /// free edge pays one, and once built the dual sum bounds the same
-  /// intra cost; the larger counts. Wrap term: each open register that
-  /// can no longer close for free pays one.
+  /// evaluated from the residual matching, the cycle duals' running
+  /// value and the per-register caches alone. Matching term: an
+  /// unassigned access that neither opens an unused register nor
+  /// follows a matched free edge pays one. Wrap term: each open
+  /// register that can no longer close for free pays one. Once built,
+  /// the cycle duals' value bounds the intra and wrap cost together;
+  /// the larger of the two bounds counts.
   int lower_bound(std::size_t next, int partial) const {
     if (!use_bound_terms_) return partial;
     const std::size_t unassigned = n_ - next;
     const std::size_t free_entries =
         matching_->size() + (ctx_.registers - used_count_);
-    int intra = unassigned > free_entries
-                    ? static_cast<int>(unassigned - free_entries)
-                    : 0;
-    if (duals_) intra = std::max(intra, dual_sum_);
-    int bound = partial + intra;
+    int rest = unassigned > free_entries
+                   ? static_cast<int>(unassigned - free_entries)
+                   : 0;
     for (std::size_t r = 0; r < used_count_; ++r) {
       const RegisterState& s = states_[r];
-      if (s.wrap_direct != 0 && next >= s.wrap_horizon) ++bound;
+      if (s.wrap_direct != 0 && next >= s.wrap_horizon) ++rest;
     }
-    return bound;
+    if (duals_) rest = std::max(rest, cycle_value_);
+    return partial + rest;
   }
 
   /// Fills key_ with the used registers' register_key() words at the
@@ -428,7 +428,7 @@ class Searcher {
   /// Per-node accounting at the state whose first unassigned access is
   /// `next`: the node cap is exact; the wall clock, the cross-task abort
   /// flag and the pool's hunger signal are read every 1024 nodes, and
-  /// the first such checkpoint builds the entry duals.
+  /// the first such checkpoint builds the cycle duals.
   bool count_node(std::size_t next) {
     ++local_nodes_;
     if (flushed_total_ + local_nodes_ > ctx_.max_nodes) {
@@ -451,7 +451,7 @@ class Searcher {
         aborted_ = true;
         return false;
       }
-      if (!duals_tried_) build_entry_duals(next);
+      if (!duals_tried_) build_cycle_duals(next);
       if (ctx_.pool != nullptr && ctx_.pool->hungry()) {
         donate_subtrees();
       }
@@ -459,30 +459,32 @@ class Searcher {
     return true;
   }
 
-  /// Solves the entry assignment for the run's start state (its pinned
-  /// prefix) and brings the dual sum to the current state by walking
-  /// the moves applied since — done once per run, at its first
+  /// Solves the register-cycle assignment for the run's start state
+  /// (its pinned prefix) and brings its value to the current state by
+  /// walking the moves applied since — done once per run, at its first
   /// checkpoint, so a solve that ends within 1024 nodes never pays the
-  /// O(|U|^2 * columns) setup. Above EntryDuals::kMaxRows unassigned
-  /// accesses the run keeps the matching bound alone.
-  void build_entry_duals(std::size_t next) {
+  /// O(rows^3) setup. Above CycleDuals::kMaxRows unassigned accesses
+  /// the run keeps the matching bound alone.
+  void build_cycle_duals(std::size_t next) {
     duals_tried_ = true;
-    if (n_ - start_next_ > EntryDuals::kMaxRows) return;
+    if (n_ - start_next_ > CycleDuals::kMaxRows) return;
     // Under the fresh rule register r is the r-th one opened, so the
-    // start state's lasts are indexed by register.
+    // start state's endpoints are indexed by register.
+    std::vector<std::size_t> firsts;
     std::vector<std::size_t> lasts(start_used_);
-    for (std::size_t i = 0; i < start_next_; ++i) lasts[assignment_[i]] = i;
-    duals_.emplace(ctx_.bounds, start_next_, lasts,
-                   ctx_.registers - start_used_);
-    dual_sum_ = duals_->optimum();
+    for (std::size_t i = 0; i < start_next_; ++i) {
+      if (assignment_[i] == firsts.size()) firsts.push_back(i);
+      lasts[assignment_[i]] = i;
+    }
+    duals_.emplace(ctx_.bounds, start_next_, firsts, lasts, ctx_.registers);
+    cycle_value_ = duals_->value();
     for (std::size_t i = start_next_; i < next; ++i) {
       const std::size_t reg = assignment_[i];
       if (reg < lasts.size()) {
-        dual_sum_ -= duals_->price(i, lasts[reg], 0);
+        cycle_value_ -= duals_->price(i, lasts[reg]);
         lasts[reg] = i;
       } else {
-        dual_sum_ -= duals_->price(i, ResidualMatching::kNoAccess,
-                                   lasts.size() - start_used_);
+        cycle_value_ -= duals_->price(i, ResidualMatching::kNoAccess);
         lasts.push_back(i);
       }
     }
@@ -621,10 +623,7 @@ class Searcher {
     const std::size_t previous_last =
         move.fresh ? ResidualMatching::kNoAccess : state.last;
     if (matching_) matching_->assign(previous_last);
-    if (duals_) {
-      dual_sum_ -= duals_->price(frame.next, previous_last,
-                                 used_count_ - start_used_);
-    }
+    if (duals_) cycle_value_ -= duals_->price(frame.next, previous_last);
     assignment_[frame.next] = move.reg;
     frame.applied_reg = move.reg;
     frame.applied_fresh = move.fresh;
@@ -655,11 +654,10 @@ class Searcher {
       state.wrap_direct = frame.saved_direct;
     }
     if (duals_) {
-      dual_sum_ += duals_->price(frame.next,
-                                 frame.applied_fresh
-                                     ? ResidualMatching::kNoAccess
-                                     : frame.saved_last,
-                                 used_count_ - start_used_);
+      cycle_value_ += duals_->price(frame.next,
+                                    frame.applied_fresh
+                                        ? ResidualMatching::kNoAccess
+                                        : frame.saved_last);
     }
     frame.has_applied = false;
   }
@@ -706,12 +704,12 @@ class Searcher {
   /// register count.
   std::size_t start_next_ = 0;
   std::size_t start_used_ = 0;
-  /// The entry assignment of the start state, once built, and the sum
-  /// of its duals still in the current state's assignment (the second
-  /// intra term of lower_bound), kept current by apply_move /
-  /// undo_move. duals_tried_ is set once the build is done or skipped.
-  std::optional<EntryDuals> duals_;
-  int dual_sum_ = 0;
+  /// The register-cycle assignment of the start state, once built, and
+  /// its value walked down to the current state (the cycle term of
+  /// lower_bound), kept current by apply_move / undo_move. duals_tried_
+  /// is set once the build is done or skipped.
+  std::optional<CycleDuals> duals_;
+  int cycle_value_ = 0;
   bool duals_tried_ = true;
   std::vector<std::size_t> assignment_;
   std::vector<Frame> frames_;
@@ -882,7 +880,7 @@ std::vector<Path> paths_of(const std::vector<std::size_t>& assignment,
 ExactResult run_search(const SuffixBounds& costs, std::size_t registers,
                        const ExactOptions& options) {
   SearchContext ctx(costs, registers, options);
-  ctx.entry_duals = true;
+  ctx.cycle_duals = true;
   seed_incumbent_with_greedy_sweep(ctx);
   seed_incumbent_with_warm_start(ctx);
 

@@ -25,23 +25,34 @@
 // window solver (core/tiled.hpp). Four prunings keep the exponential
 // tree tractable:
 //  * an admissible lower bound on the unassigned suffix, maintained
-//    incrementally (core/bounds.hpp), with three terms. The matching
-//    term is |U| - unused - M: M is a maximum matching of the free
-//    intra edges from the open registers' last accesses and the
-//    unassigned set U into U (core::ResidualMatching), repaired by at
-//    most two augmenting searches per assign and restored from an undo
-//    trail on backtrack. At the root it is phase 1's matching bound
-//    max(0, K~acyc - K). The entry term is the sum of the LP duals of
-//    the minimum-cost entry assignment of the search's start state
-//    (core::EntryDuals) still in the current state's assignment: that
-//    optimum is the exact least intra cost of finishing on at most K
-//    registers, and each move drops one row and one column, so the sum
-//    moves by two duals per assign/undo. Phase 2 builds it at a
-//    searcher's first 1024-node checkpoint, when at most
-//    EntryDuals::kMaxRows accesses were unassigned at its start; phase
-//    1 never does. The larger of the two intra terms counts. The wrap
-//    term caches each open register's wrap cost and zero-wrap horizon,
-//    updated O(1) on assign/undo;
+//    incrementally (core/bounds.hpp), the larger of two. The first adds
+//    a matching term and a wrap term. The matching term is
+//    |U| - unused - M: M is a maximum matching of the free intra edges
+//    from the open registers' last accesses and the unassigned set U
+//    into U (core::ResidualMatching), repaired by at most two
+//    augmenting searches per assign and restored from an undo trail on
+//    backtrack; at the root it is phase 1's matching bound
+//    max(0, K~acyc - K). The wrap term caches each open register's wrap
+//    cost and zero-wrap horizon, updated O(1) on assign/undo. The
+//    second is the value of the register-cycle assignment of the
+//    search's start state (core::CycleDuals), walked down to the
+//    current state: every register of a completion is a cycle, so each
+//    access of U and each open register's first access takes one
+//    predecessor — a step from an earlier access (intra cost), or its
+//    register's final access (wrap cost), priced λ more when it opens
+//    a new register. The optimum less λ * (K - used) bounds the intra
+//    and wrap cost still to pay, for any λ >= 0; the build raises an
+//    integer λ from 0 while that value rises. An append deletes one row
+//    and one column of the assignment, so the value drops by two duals;
+//    an opening at q frees a register's λ less what keeping the duals
+//    feasible costs, so it rises by a gain the build tabulates per
+//    access: O(1) per assign/undo either way. Phase 2 builds it at a
+//    searcher's first 1024-node checkpoint (each stolen subtree builds
+//    its own), when at most CycleDuals::kMaxRows (128) accesses were
+//    unassigned at its start; the build (the Hungarian method with warm
+//    re-solves per λ step) took 0.05-0.16 ms at 28-32 unassigned
+//    accesses and about 0.3 ms at 48-56 on a 4-vCPU Xeon VM. Phase 1
+//    never builds it;
 //  * register symmetry breaking: only the lowest-numbered unused
 //    register is ever opened, and extending a register whose (first,
 //    last) accesses are value-identical (same offset and stride) to an

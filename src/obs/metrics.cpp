@@ -14,17 +14,28 @@ std::size_t Counter::stripe_index() {
   return index;
 }
 
+namespace {
+
+/// log2(Histogram::kSubBuckets): the top bits of a value that pick its
+/// bucket within its power of two.
+constexpr std::size_t kSubBits = 3;
+static_assert(Histogram::kSubBuckets == std::size_t{1} << kSubBits);
+
+}  // namespace
+
 std::size_t Histogram::bucket_index(std::uint64_t us) {
-  if (us == 0) {
-    return 0;
+  if (us < kSubBuckets) {
+    return static_cast<std::size_t>(us);
   }
-  // Bucket i >= 1 covers [2^(i-1), 2^i); values past the last edge
-  // land in the final (open-ended) bucket.
-  std::size_t index = 1;
-  while (index < kBuckets - 1 && us >= (std::uint64_t{1} << index)) {
-    ++index;
+  if (us >= std::uint64_t{1} << kOpenExponent) {
+    return kBuckets - 1;
   }
-  return index;
+  // us in [2^e, 2^(e+1)), e >= kSubBits: the kSubBits bits below the
+  // leading one pick one of kSubBuckets buckets of width 2^(e-3).
+  const auto exponent = static_cast<std::size_t>(63 - __builtin_clzll(us));
+  const auto sub = static_cast<std::size_t>(
+      (us >> (exponent - kSubBits)) & (kSubBuckets - 1));
+  return kSubBuckets * (exponent - kSubBits + 1) + sub;
 }
 
 void Histogram::record_us(std::uint64_t us) {
@@ -51,7 +62,17 @@ HistogramSnapshot Histogram::snapshot() const {
 }
 
 std::uint64_t HistogramSnapshot::bucket_upper_us(std::size_t i) {
-  return std::uint64_t{1} << std::min<std::size_t>(i, 62);
+  constexpr std::size_t kSub = Histogram::kSubBuckets;
+  if (i < kSub) {
+    return i + 1;
+  }
+  if (i >= Histogram::kBuckets - 1) {
+    return std::uint64_t{2} << Histogram::kOpenExponent;
+  }
+  // Inverse of bucket_index: bucket i covers
+  // [(kSub + sub) << shift, (kSub + sub + 1) << shift).
+  const std::size_t shift = i / kSub - 1;
+  return static_cast<std::uint64_t>(kSub + i % kSub + 1) << shift;
 }
 
 std::uint64_t HistogramSnapshot::percentile_us(double p) const {

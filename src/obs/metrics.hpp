@@ -10,12 +10,14 @@
 //                atomics so concurrent workers never bounce one line;
 //  * Gauge     — an instantaneous level (queue depth, in-flight
 //                window occupancy) with a high-watermark;
-//  * Histogram — fixed power-of-two latency buckets in microseconds
-//                (bucket i counts values in [2^(i-1), 2^i), bucket 0
-//                counts 0), aggregated only on read. Percentiles are
-//                computed from the bucket counts and reported as the
-//                containing bucket's upper edge, so two snapshots of
-//                identical counts always render identical JSON.
+//  * Histogram — fixed log-linear latency buckets in microseconds
+//                (one per value below 8, then 8 per power of two, so no
+//                bucket is wider than 1/8 of its lower edge),
+//                aggregated only on read. Percentiles are computed from
+//                the bucket counts and reported as the containing
+//                bucket's upper edge — at most 12.5 % (1 µs below 8 µs)
+//                above the true value — so two snapshots of identical
+//                counts always render identical JSON.
 //
 // Instruments live in a Registry that preserves registration order —
 // snapshots, the serve `{"metrics":true}` JSON and the `--metrics-csv`
@@ -97,8 +99,9 @@ struct HistogramSnapshot {
   std::uint64_t max_us = 0;
   std::vector<std::uint64_t> buckets;
 
-  /// Upper edge (exclusive) of bucket `i` in microseconds: 2^i, with
-  /// the last bucket clamped open-ended.
+  /// Upper edge (exclusive) of bucket `i` in microseconds (see
+  /// Histogram::kSubBuckets); the open last bucket reports twice its
+  /// lower edge.
   static std::uint64_t bucket_upper_us(std::size_t i);
 
   /// The upper edge of the bucket containing the p-th percentile rank
@@ -112,7 +115,18 @@ struct HistogramSnapshot {
 /// allocation — so it is safe on the per-request hot path.
 class Histogram {
  public:
-  static constexpr std::size_t kBuckets = 32;
+  /// Buckets per power of two. Values below kSubBuckets get a bucket
+  /// each; from there on [2^e, 2^(e+1)) splits into kSubBuckets buckets
+  /// of width 2^(e-3), at most 1/8 of any value in them, so a bucket's
+  /// upper edge overstates its values by at most 12.5 %.
+  static constexpr std::size_t kSubBuckets = 8;
+  /// Values from 2^kOpenExponent µs (about 72 minutes) on share the
+  /// open last bucket.
+  static constexpr std::size_t kOpenExponent = 32;
+  /// kSubBuckets exact buckets, kSubBuckets per power of two from 2^3
+  /// to 2^(kOpenExponent - 1), and the open one.
+  static constexpr std::size_t kBuckets =
+      kSubBuckets * (kOpenExponent - 2) + 1;
 
   void record_us(std::uint64_t us);
 

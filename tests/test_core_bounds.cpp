@@ -1,10 +1,10 @@
 // The phase-2 bounds: the residual matching that the exact search keeps
-// current at every node, the root bound it starts from, and the entry
-// assignment's duals. The incremental repair is checked against a
-// from-scratch Hopcroft-Karp matching of the same residual graph after
-// every assign and undo; the entry assignment's optimum against a
-// brute-force enumeration of the completions, and the running dual sum
-// against the proven cost of the pinned completion. The exact search's
+// current at every node, the root bound it starts from, and the
+// register-cycle assignment's duals. The incremental repair is checked
+// against a from-scratch Hopcroft-Karp matching of the same residual
+// graph after every assign and undo; the cycle assignment's value and
+// its running value against a brute-force least completion cost at
+// every state below the solved one. The exact search's
 // dominance key (register_key) is checked by grouping every state of
 // small bodies by key: each group has one brute-force least completion
 // cost.
@@ -15,14 +15,19 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <fstream>
 #include <limits>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/exact.hpp"
+#include "engine/serialize.hpp"
 #include "graph/matching.hpp"
+#include "ir/layout.hpp"
 #include "support/check.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
 
 namespace dspaddr::core {
@@ -423,45 +428,200 @@ int extend_randomly(Prefix& prefix, std::size_t count, std::size_t registers,
   return cost;
 }
 
-/// Brute force: the least intra cost of the transitions into accesses
-/// [next, N) over every completion of the state whose open registers
-/// end at `lasts` and that may still open `unused` registers.
-int min_completion_intra_cost(const AccessSequence& seq,
-                              const CostModel& model, std::size_t next,
-                              std::vector<std::size_t>& lasts,
-                              std::size_t unused) {
-  if (next == seq.size()) return 0;
+/// `model` with its wrap policy replaced.
+CostModel with_wrap(CostModel model, WrapPolicy wrap) {
+  model.wrap = wrap;
+  return model;
+}
+
+/// Brute force: the least cost still to pay over every completion of
+/// the state whose open registers run from `firsts` to `lasts` and that
+/// may open registers up to `registers` in all — the steps into
+/// accesses [next, N) plus every register's wrap (0 under
+/// WrapPolicy::kAcyclic, so the least intra cost there).
+int min_completion_cost(const AccessSequence& seq, const CostModel& model,
+                        std::size_t next, std::vector<std::size_t>& firsts,
+                        std::vector<std::size_t>& lasts,
+                        std::size_t registers) {
+  if (next == seq.size()) {
+    int wraps = 0;
+    for (std::size_t r = 0; r < lasts.size(); ++r) {
+      wraps += wrap_transition_cost(seq, lasts[r], firsts[r], model);
+    }
+    return wraps;
+  }
   int best = std::numeric_limits<int>::max();
   // By index: the deeper calls push onto `lasts`.
   for (std::size_t r = 0, open = lasts.size(); r < open; ++r) {
     const std::size_t previous = lasts[r];
     lasts[r] = next;
     const int rest =
-        min_completion_intra_cost(seq, model, next + 1, lasts, unused);
+        min_completion_cost(seq, model, next + 1, firsts, lasts, registers);
     best = std::min(best, intra_transition_cost(seq, previous, next, model) +
                               rest);
     lasts[r] = previous;
   }
-  if (unused > 0) {
+  if (lasts.size() < registers) {
+    firsts.push_back(next);
     lasts.push_back(next);
-    best = std::min(best, min_completion_intra_cost(seq, model, next + 1,
-                                                    lasts, unused - 1));
+    best = std::min(best, min_completion_cost(seq, model, next + 1, firsts,
+                                              lasts, registers));
+    firsts.pop_back();
     lasts.pop_back();
   }
   return best;
 }
 
+/// The value the duals give a state below the solved one, where
+/// `opened` registers were open: the rows of its unassigned accesses
+/// and open registers' firsts, the columns of its unassigned accesses
+/// and open registers' lasts, less λ per register that was unused at
+/// the solved state, plus the gain of each register opened since.
+int kept_duals(const CycleDuals& duals, std::size_t n, std::size_t next,
+               const std::vector<std::size_t>& firsts,
+               const std::vector<std::size_t>& lasts, std::size_t opened,
+               std::size_t registers) {
+  int kept = -duals.lambda() * static_cast<int>(registers - opened);
+  for (std::size_t q = next; q < n; ++q) {
+    kept += duals.row(q) + duals.column(q);
+  }
+  for (std::size_t r = 0; r < lasts.size(); ++r) {
+    kept += duals.row(firsts[r]) + duals.column(lasts[r]);
+    if (r >= opened) {
+      const int gain = -duals.price(firsts[r], ResidualMatching::kNoAccess);
+      EXPECT_GE(gain, 0);
+      EXPECT_LE(gain, duals.lambda());
+      kept += gain;
+    }
+  }
+  return kept;
+}
+
+// The brute-force checks of CycleDuals. Each row of the cycle assignment
+// picks an access's entry, its predecessor in its register's cycle:
+// the suite is named for those entries.
 class EntryDualsTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EntryDualsTest, OptimumIsTheLeastIntraCostOfAnyCompletion) {
   // Bodies of at most nine accesses with random windows, free widths
   // and mixed strides, K = 1..4, at the empty prefix and at random
-  // pinned prefixes: the assignment's optimum is the brute-force least
-  // intra cost of finishing on at most K registers, its duals sum to
-  // it, and every column dual is at most 0.
+  // pinned prefixes. With free wraps the cycle assignment is the entry
+  // assignment of the intra steps, whose Lagrangian bound is tight at
+  // an integer λ: the value is exactly the brute-force least intra cost
+  // of finishing on at most K registers. With paid wraps every edge
+  // costs at least as much, so the value lies between that and the
+  // least completion cost, wraps included. Either way the duals the
+  // state keeps add up to the value, and opening a register raises it by
+  // at most λ.
   support::Rng rng(GetParam() * 7919 + 29);
   for (int draw = 0; draw < 10; ++draw) {
     const auto [seq, model] = random_body_of_size(rng, 1 + rng.index(9));
+    const std::size_t n = seq.size();
+    const std::size_t registers = 1 + rng.index(4);
+    Prefix prefix;
+    if (rng.bernoulli(0.5)) {
+      extend_randomly(prefix, rng.index(n + 1), registers, seq, model, rng);
+    }
+    const std::size_t next = prefix.registers.size();
+    SCOPED_TRACE(::testing::Message() << "draw " << draw << ", N " << n
+                                      << ", K " << registers << ", next "
+                                      << next);
+    const CostModel acyclic = with_wrap(model, WrapPolicy::kAcyclic);
+    const CostModel cyclic = with_wrap(model, WrapPolicy::kCyclic);
+    std::vector<std::size_t> firsts = prefix.firsts;
+    std::vector<std::size_t> lasts = prefix.lasts;
+    const int least_intra =
+        min_completion_cost(seq, acyclic, next, firsts, lasts, registers);
+    const int least =
+        min_completion_cost(seq, cyclic, next, firsts, lasts, registers);
+
+    const SuffixBounds free_wraps(seq, acyclic);
+    const CycleDuals intra(free_wraps, next, firsts, lasts, registers);
+    EXPECT_EQ(intra.value(), least_intra);
+    EXPECT_GE(intra.lambda(), 0);
+    EXPECT_EQ(kept_duals(intra, n, next, firsts, lasts, lasts.size(),
+                         registers),
+              intra.value());
+
+    const SuffixBounds paid_wraps(seq, cyclic);
+    const CycleDuals cycles(paid_wraps, next, firsts, lasts, registers);
+    EXPECT_LE(least_intra, cycles.value());
+    EXPECT_LE(cycles.value(), least);
+    EXPECT_GE(cycles.lambda(), 0);
+    EXPECT_EQ(kept_duals(cycles, n, next, firsts, lasts, lasts.size(),
+                         registers),
+              cycles.value());
+  }
+}
+
+/// Walks every fresh-rule state below the state CycleDuals was solved
+/// at, moving the value with price() as the search does, and returns
+/// each state's brute-force least completion cost (wraps included). At
+/// every state it checks that the walked value is the sum of the duals
+/// the state keeps plus its openings' gains, and that it, and the value
+/// of duals solved afresh at the state, are at most that least cost.
+struct DualWalk {
+  const SuffixBounds& bounds;
+  const CycleDuals& duals;
+  std::size_t registers;
+  std::size_t open_at_start;
+  std::vector<std::size_t> firsts;
+  std::vector<std::size_t> lasts;
+  std::size_t states = 0;
+
+  int walk(std::size_t next, int value) {
+    ++states;
+    const std::size_t n = bounds.size();
+    int least = 0;
+    if (next == n) {
+      for (std::size_t r = 0; r < lasts.size(); ++r) {
+        least += bounds.wrap_direct(lasts[r], firsts[r]);
+      }
+    } else {
+      least = std::numeric_limits<int>::max();
+      for (std::size_t r = 0, open = lasts.size(); r < open; ++r) {
+        const std::size_t previous = lasts[r];
+        lasts[r] = next;
+        const int rest = walk(next + 1, value - duals.price(next, previous));
+        least = std::min(least, bounds.intra_cost(previous, next) + rest);
+        lasts[r] = previous;
+      }
+      if (lasts.size() < registers) {
+        firsts.push_back(next);
+        lasts.push_back(next);
+        least = std::min(
+            least, walk(next + 1,
+                        value - duals.price(next,
+                                            ResidualMatching::kNoAccess)));
+        firsts.pop_back();
+        lasts.pop_back();
+      }
+    }
+    EXPECT_EQ(value, kept_duals(duals, n, next, firsts, lasts,
+                                open_at_start, registers))
+        << "next " << next;
+    EXPECT_LE(value, least) << "next " << next;
+    EXPECT_LE(CycleDuals(bounds, next, firsts, lasts, registers).value(),
+              least)
+        << "next " << next;
+    return least;
+  }
+};
+
+TEST_P(EntryDualsTest, RunningDualSumIsAdmissibleBelowTheSolvedState) {
+  // The search's use of the duals: solved at a start state (the empty
+  // prefix or a random pinned one) of a body of at most nine accesses,
+  // under either wrap policy, with random windows and free widths and
+  // K = 1..4, and walked by price() to every fresh-rule state below it,
+  // the value stays the sum of the duals the state keeps plus its
+  // openings' gains and never exceeds the state's least completion
+  // cost, wraps included; neither does the value solved afresh at the
+  // state.
+  support::Rng rng(GetParam() * 4243 + 61);
+  for (int draw = 0; draw < 10; ++draw) {
+    auto [seq, model] = random_body_of_size(rng, 1 + rng.index(9));
+    model.wrap = rng.bernoulli(0.5) ? WrapPolicy::kCyclic
+                                    : WrapPolicy::kAcyclic;
     const std::size_t n = seq.size();
     const std::size_t registers = 1 + rng.index(4);
     const SuffixBounds bounds(seq, model);
@@ -469,136 +629,103 @@ TEST_P(EntryDualsTest, OptimumIsTheLeastIntraCostOfAnyCompletion) {
     if (rng.bernoulli(0.5)) {
       extend_randomly(prefix, rng.index(n + 1), registers, seq, model, rng);
     }
-    const std::size_t next = prefix.registers.size();
-    const std::size_t unused = registers - prefix.lasts.size();
-    SCOPED_TRACE(::testing::Message() << "draw " << draw << ", N " << n
-                                      << ", K " << registers << ", next "
-                                      << next);
-    const EntryDuals duals(bounds, next, prefix.lasts, unused);
-    std::vector<std::size_t> lasts = prefix.lasts;
-    EXPECT_EQ(duals.optimum(),
-              min_completion_intra_cost(seq, model, next, lasts, unused));
-
-    int dual_sum = 0;
-    for (std::size_t q = next; q < n; ++q) dual_sum += duals.row(q);
-    for (const std::size_t last : prefix.lasts) {
-      EXPECT_LE(duals.column(last), 0);
-      dual_sum += duals.column(last);
-    }
-    for (std::size_t p = next; p < n; ++p) {
-      EXPECT_LE(duals.column(p), 0);
-      dual_sum += duals.column(p);
-    }
-    for (std::size_t k = 0; k < unused; ++k) {
-      EXPECT_LE(duals.fresh(k), 0);
-      if (k > 0) EXPECT_LE(duals.fresh(k - 1), duals.fresh(k));
-      dual_sum += duals.fresh(k);
-    }
-    EXPECT_EQ(dual_sum, duals.optimum());
-  }
-}
-
-TEST_P(EntryDualsTest, RunningDualSumIsAdmissibleBelowTheSolvedState) {
-  // The search's use of the duals: solved at a start state (the empty
-  // prefix or a random pinned one) and walked by price() along random
-  // further moves, the running sum is the sum of the duals the deeper
-  // state keeps, it never exceeds the brute-force least intra cost
-  // still to pay, and partial + dual sum + wrap term never exceeds the
-  // proven cost of the deeper pinned prefix.
-  support::Rng rng(GetParam() * 4243 + 61);
-  for (int draw = 0; draw < 10; ++draw) {
-    const auto [seq, model] = random_body_of_size(rng, 1 + rng.index(9));
-    const std::size_t n = seq.size();
-    const std::size_t registers = 1 + rng.index(4);
-    const SuffixBounds bounds(seq, model);
-    Prefix prefix;
-    int partial = 0;
-    if (rng.bernoulli(0.5)) {
-      partial = extend_randomly(prefix, rng.index(n + 1), registers, seq,
-                                model, rng);
-    }
     const std::size_t start = prefix.registers.size();
-    const std::size_t opened_at_start = prefix.lasts.size();
-    const EntryDuals duals(bounds, start, prefix.lasts,
-                           registers - opened_at_start);
-    int dual_sum = duals.optimum();
-    for (std::size_t i = rng.index(n - start + 1); i > 0; --i) {
-      const std::size_t access = prefix.registers.size();
-      const std::size_t reg =
-          rng.index(std::min(prefix.lasts.size() + 1, registers));
-      dual_sum -= duals.price(
-          access,
-          reg == prefix.lasts.size() ? ResidualMatching::kNoAccess
-                                     : prefix.lasts[reg],
-          prefix.lasts.size() - opened_at_start);
-      partial += prefix.assign(reg, seq, model);
-    }
-    const std::size_t next = prefix.registers.size();
-    int wrap_term = 0;
-    for (std::size_t r = 0; r < prefix.lasts.size(); ++r) {
-      if (bounds.wrap_direct(prefix.lasts[r], prefix.firsts[r]) != 0 &&
-          next >= bounds.wrap_zero_horizon(prefix.firsts[r])) {
-        ++wrap_term;
-      }
-    }
     SCOPED_TRACE(::testing::Message() << "draw " << draw << ", N " << n
                                       << ", K " << registers << ", start "
-                                      << start << ", next " << next);
-    // The running sum is the sum of the duals the deeper state keeps:
-    // its unassigned accesses' rows and columns, its open registers'
-    // last accesses and the unused registers' columns not yet opened,
-    // the least negative ones.
-    int kept = 0;
-    for (std::size_t q = next; q < n; ++q) {
-      kept += duals.row(q) + duals.column(q);
-    }
-    for (const std::size_t last : prefix.lasts) kept += duals.column(last);
-    for (std::size_t k = prefix.lasts.size() - opened_at_start;
-         k < registers - opened_at_start; ++k) {
-      kept += duals.fresh(k);
-    }
-    EXPECT_EQ(dual_sum, kept);
+                                      << start);
+    const CycleDuals duals(bounds, start, prefix.firsts, prefix.lasts,
+                           registers);
+    DualWalk walk{bounds,        duals,        registers,
+                  prefix.lasts.size(), prefix.firsts, prefix.lasts};
+    std::vector<std::size_t> firsts = prefix.firsts;
     std::vector<std::size_t> lasts = prefix.lasts;
-    EXPECT_LE(dual_sum,
-              min_completion_intra_cost(seq, model, next, lasts,
-                                        registers - prefix.lasts.size()));
-    ExactOptions pinned;
-    pinned.pinned_prefix = prefix.registers;
-    const ExactResult exact =
-        exact_min_cost_allocation(seq, model, registers, pinned);
-    ASSERT_TRUE(exact.proven);
-    EXPECT_LE(partial + dual_sum + wrap_term, exact.cost);
+    EXPECT_EQ(walk.walk(start, duals.value()),
+              min_completion_cost(seq, model, start, firsts, lasts,
+                                  registers));
+    EXPECT_GE(walk.states, 1u);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, EntryDualsTest,
                          ::testing::Range<std::uint64_t>(0, 40));
 
-TEST(EntryDuals, SmallBodiesHaveKnownOptima) {
-  // 0 -> 1 -> 2 is one free chain, so one register finishes for free
-  // and the optimum is 0. With no register at all to open, access 0 has
-  // no entry.
+TEST(CycleDuals, SmallBodiesHaveKnownValues) {
+  // 0 -> 1 -> 2 is one free chain, and its wrap 2 -> 0 moves by
+  // 0 + 1 - 2 = -1, also free: one register finishes for free.
   const auto seq = AccessSequence::from_offsets({0, 1, 2});
   const SuffixBounds bounds(seq, CostModel{1});
-  const EntryDuals duals(bounds, 0, {}, 1);
-  EXPECT_EQ(duals.optimum(), 0);
-  EXPECT_THROW(EntryDuals(bounds, 0, {}, 0), dspaddr::InvalidArgument);
-  // Two unit jumps 0 -> 5 -> 10 on one register cost 2; a second
-  // register saves one of them.
+  EXPECT_EQ(CycleDuals(bounds, 0, {}, {}, 1).value(), 0);
+  // On 0, 5, 10 every step and every wrap between distinct accesses
+  // pays. One register pays both steps and its wrap: 3, the only
+  // completion, so the value is exact. Three registers wrap each access
+  // onto itself for free: 0. Two registers cost 2 at best, but the
+  // relaxation gets 1: at λ = 1, three self-wraps cost 3λ - 2λ = 1.
   const auto jumps = AccessSequence::from_offsets({0, 5, 10});
   const SuffixBounds jump_bounds(jumps, CostModel{1});
-  EXPECT_EQ(EntryDuals(jump_bounds, 0, {}, 1).optimum(), 2);
-  EXPECT_EQ(EntryDuals(jump_bounds, 0, {}, 2).optimum(), 1);
-  EXPECT_EQ(EntryDuals(jump_bounds, 1, {0}, 0).optimum(), 2);
-  EXPECT_EQ(EntryDuals(jump_bounds, 1, {0}, 2).optimum(), 0);
+  EXPECT_EQ(CycleDuals(jump_bounds, 0, {}, {}, 1).value(), 3);
+  EXPECT_EQ(CycleDuals(jump_bounds, 0, {}, {}, 2).value(), 1);
+  EXPECT_EQ(CycleDuals(jump_bounds, 0, {}, {}, 3).value(), 0);
+  // The same from the state where access 0 is open on a register.
+  EXPECT_EQ(CycleDuals(jump_bounds, 1, {0}, {0}, 1).value(), 3);
+  EXPECT_EQ(CycleDuals(jump_bounds, 1, {0}, {0}, 3).value(), 0);
+  // No register may be open beyond K, and every open one needs both
+  // endpoints assigned. With no register at all no completion exists.
+  EXPECT_THROW(CycleDuals(jump_bounds, 1, {0}, {0}, 0),
+               dspaddr::InvalidArgument);
+  EXPECT_THROW(CycleDuals(jump_bounds, 1, {0}, {1}, 1),
+               dspaddr::InvalidArgument);
+  EXPECT_THROW(CycleDuals(jump_bounds, 0, {}, {}, 0),
+               dspaddr::InvalidArgument);
+  EXPECT_EQ(CycleDuals(jump_bounds, 3, {}, {}, 0).value(), 0);
 }
 
-TEST(EntryDuals, RejectsSparseBounds) {
+TEST(CycleDuals, RejectsSparseBounds) {
   std::vector<ir::Access> accesses(SuffixBounds::kDenseLimit + 1);
   const SuffixBounds bounds(AccessSequence(std::move(accesses)),
                             CostModel{1});
-  EXPECT_THROW(EntryDuals(bounds, SuffixBounds::kDenseLimit, {0}, 0),
+  EXPECT_THROW(CycleDuals(bounds, SuffixBounds::kDenseLimit, {0}, {0}, 1),
                dspaddr::InvalidArgument);
+}
+
+TEST(CycleDuals, SolveHardRootValuesAreKnown) {
+  // The value at the empty prefix of the seven exact solve-hard
+  // instances (workloads/solve_hard.jsonl, perfbench's hard set), next
+  // to the proven cost in tests/golden/solve_hard.jsonl: five of them
+  // are proven at the root. The matching bound's root values are far
+  // lower (phase 1's max(0, K~acyc - K)).
+  const std::string root = std::string(DSPADDR_SOURCE_DIR);
+  std::ifstream requests(root + "/workloads/solve_hard.jsonl");
+  std::ifstream answers(root + "/tests/golden/solve_hard.jsonl");
+  ASSERT_TRUE(requests && answers);
+  const std::map<std::string, int> expected = {
+      {"uniform28-k3", 12}, {"uniform30-k3", 15},
+      {"strided30-k3", 16}, {"strided32-k3", 15},
+      {"skewed48-k4", 1},   {"uniform32-k4-capped", 10},
+      {"stencil56", 8}};
+  std::size_t checked = 0;
+  for (std::string request, answer;
+       std::getline(requests, request) && std::getline(answers, answer);) {
+    const support::JsonValue json = support::JsonValue::parse(request);
+    const ir::Kernel kernel = engine::kernel_from_json(*json.find("kernel"));
+    const auto it = expected.find(kernel.name());
+    if (it == expected.end()) continue;  // the tiled 80-access stencil
+    SCOPED_TRACE(kernel.name());
+    ASSERT_EQ(json.find("phase2")->as_string(), "exact");
+    const SuffixBounds bounds(
+        ir::lower(kernel), CostModel{json.find("modify_range")->as_int()});
+    const auto registers =
+        static_cast<std::size_t>(json.find("registers")->as_int());
+    const CycleDuals duals(bounds, 0, {}, {}, registers);
+    EXPECT_EQ(duals.value(), it->second);
+    const support::JsonValue golden = support::JsonValue::parse(answer);
+    const support::JsonValue& allocate =
+        *golden.find("stages")->find("allocate");
+    EXPECT_TRUE(allocate.find("phase2")->find("proven")->as_bool());
+    EXPECT_LE(duals.value(), allocate.find("cost")->as_int());
+    EXPECT_LE(bounds.root_lower_bound(registers), duals.value());
+    ++checked;
+  }
+  EXPECT_EQ(checked, expected.size());
 }
 
 }  // namespace

@@ -184,10 +184,12 @@ TEST(ExactAllocator, TimeBudgetExpiryKeepsValidIncumbent) {
   // incumbent kept, proven=false, non-negative anytime gap. The
   // instance is far too hard for a 1 ms budget on any machine (the
   // clock is read every ~1024 nodes, so the search stops at the first
-  // batch boundary past the deadline).
+  // batch boundary past the deadline): its 160 accesses are more than
+  // CycleDuals::kMaxRows, so the search keeps the matching bound alone
+  // and has not proven it after 5,000,000 nodes.
   support::Rng rng(0xBD6);
   eval::PatternSpec spec;
-  spec.accesses = 64;
+  spec.accesses = 160;
   spec.offset_range = 8;
   spec.family = eval::PatternFamily::kSortedNoise;
   const auto seq = eval::generate_pattern(spec, rng);
@@ -240,18 +242,18 @@ TEST(ExactAllocator, DominanceTablePruningIsPinned) {
   // Node counts and cap refusals of the sequential search: a key
   // collision, a missed revisit or a misplaced cap would move them.
   // Pinned at the unordered_map table the flat one replaced, then
-  // re-pinned (costs unchanged) when the entry duals joined the bound
-  // and again when the table began keying states by their future
-  // (register_key). K = 9 runs with dominance off; table_cap = 4
-  // saturates at once.
+  // re-pinned (costs unchanged) when dual bounds joined the bound, when
+  // the table began keying states by their future (register_key) and
+  // when the duals began pricing wraps (CycleDuals). K = 9 runs with
+  // dominance off; table_cap = 4 saturates at once.
   const TablePin pins[] = {
       {201, 40, 10, 1, 0, 35, 34, 0},
-      {208, 32, 12, 2, 0, 19, 1'199, 0},
-      {203, 28, 10, 3, 0, 10, 2'506, 0},
-      {204, 30, 10, 4, 0, 10, 9'139, 0},
+      {208, 32, 12, 2, 0, 19, 1'072, 0},
+      {203, 28, 10, 3, 0, 10, 1'291, 0},
+      {204, 30, 10, 4, 0, 10, 2'927, 0},
       {212, 34, 24, 8, 0, 12, 1'894, 0},
-      {211, 26, 20, 9, 0, 4, 4'239, 0},
-      {207, 26, 10, 3, 4, 12, 9'763, 9'754},
+      {211, 26, 20, 9, 0, 4, 1'597, 0},
+      {207, 26, 10, 3, 4, 12, 4'985, 4'976},
   };
   for (const TablePin& pin : pins) {
     support::Rng rng(pin.seed);
@@ -554,67 +556,126 @@ INSTANTIATE_TEST_SUITE_P(RandomSeeds, ExactPropertyTest,
 
 /// Oracle for bodies too long for brute_force_min_cost: a depth-first
 /// enumeration of the fresh-rule assignments that agree with `pinned`,
-/// cut only where the partial cost alone reaches the best leaf. It
-/// reads the cost model and nothing of the search's bounds.
+/// free moves first. It reads the cost model and nothing of the
+/// search's bounds, and cuts a branch where its partial cost plus a
+/// count of what it must still pay reaches the best leaf:
+///  * an unassigned access that no open register's last access and no
+///    earlier unassigned access reaches by a free step pays a step or
+///    opens a register, so those accesses less the unused registers pay
+///    a step each;
+///  * an open register whose wrap is paid and that no unassigned access
+///    closes for free pays its wrap.
 struct Enumeration {
-  const AccessSequence& seq;
-  const CostModel& model;
-  std::size_t registers;
-  const std::vector<std::size_t>& pinned;
-  std::vector<std::size_t> firsts;
-  std::vector<std::size_t> lasts;
-  int best = std::numeric_limits<int>::max();
+  Enumeration(const AccessSequence& body, const CostModel& model,
+              std::size_t k, const std::vector<std::size_t>& pin)
+      : registers(k), pinned(pin), n(body.size()) {
+    step.resize(n * n);
+    wrap.resize(n * n);
+    free_step_from.assign(n, 0);
+    free_wrap_until.assign(n, 0);
+    for (std::size_t p = 0; p < n; ++p) {
+      for (std::size_t q = 0; q < n; ++q) {
+        step[p * n + q] = intra_transition_cost(body, p, q, model);
+        if (p < q && step[p * n + q] == 0) free_step_from[q] = p + 1;
+        wrap[p * n + q] = wrap_transition_cost(body, p, q, model);
+        if (wrap[p * n + q] == 0) free_wrap_until[q] = p + 1;
+      }
+    }
+  }
+
+  /// The cut at the state whose first unassigned access is `access`.
+  int still_to_pay(std::size_t access) const {
+    int stranded = 0;
+    for (std::size_t q = access; q < n; ++q) {
+      if (free_step_from[q] > access) continue;
+      bool entered = false;
+      for (const std::size_t last : lasts) {
+        entered = entered || step[last * n + q] == 0;
+      }
+      if (!entered) ++stranded;
+    }
+    int wraps = 0;
+    for (std::size_t r = 0; r < firsts.size(); ++r) {
+      if (wrap[lasts[r] * n + firsts[r]] != 0 &&
+          free_wrap_until[firsts[r]] <= access) {
+        ++wraps;
+      }
+    }
+    const int unused = static_cast<int>(registers - firsts.size());
+    return wraps + std::max(0, stranded - unused);
+  }
 
   void extend(std::size_t access, int cost) {
-    if (cost >= best) return;
-    if (access == seq.size()) {
+    if (access == n) {
       for (std::size_t r = 0; r < firsts.size(); ++r) {
-        cost += wrap_transition_cost(seq, lasts[r], firsts[r], model);
+        cost += wrap[lasts[r] * n + firsts[r]];
       }
       best = std::min(best, cost);
       return;
     }
+    if (cost + still_to_pay(access) >= best) return;
     const bool is_pinned = access < pinned.size();
-    const std::size_t top = std::min(firsts.size(), registers - 1);
-    for (std::size_t r = is_pinned ? pinned[access] : 0;
-         r <= (is_pinned ? pinned[access] : top); ++r) {
-      if (r == firsts.size()) {
-        firsts.push_back(access);
-        lasts.push_back(access);
-        extend(access + 1, cost);
-        firsts.pop_back();
-        lasts.pop_back();
-      } else {
+    const std::size_t low = is_pinned ? pinned[access] : 0;
+    const std::size_t high =
+        is_pinned ? pinned[access] : std::min(firsts.size(), registers - 1);
+    for (const bool free_moves : {true, false}) {
+      for (std::size_t r = low; r <= high; ++r) {
+        if (r == firsts.size()) {
+          if (!free_moves) continue;
+          firsts.push_back(access);
+          lasts.push_back(access);
+          extend(access + 1, cost);
+          firsts.pop_back();
+          lasts.pop_back();
+          continue;
+        }
         const std::size_t previous = lasts[r];
+        const int paid = step[previous * n + access];
+        if ((paid == 0) != free_moves) continue;
         lasts[r] = access;
-        extend(access + 1,
-               cost + intra_transition_cost(seq, previous, access, model));
+        extend(access + 1, cost + paid);
         lasts[r] = previous;
       }
     }
   }
+
+  const std::size_t registers;
+  const std::vector<std::size_t>& pinned;
+  const std::size_t n;
+  /// step[p * N + q] and wrap[p * N + q]: the costs of p -> q.
+  std::vector<int> step;
+  std::vector<int> wrap;
+  /// One past the last free predecessor of each access (0: none), and
+  /// one past the last access whose wrap into it is free.
+  std::vector<std::size_t> free_step_from;
+  std::vector<std::size_t> free_wrap_until;
+  std::vector<std::size_t> firsts;
+  std::vector<std::size_t> lasts;
+  int best = std::numeric_limits<int>::max();
 };
 
 int enumerated_min_cost(const AccessSequence& seq, const CostModel& model,
                         std::size_t registers,
                         const std::vector<std::size_t>& pinned) {
-  Enumeration enumeration{seq, model, registers, pinned, {}, {}};
+  Enumeration enumeration(seq, model, registers, pinned);
   enumeration.extend(0, 0);
   return enumeration.best;
 }
 
-TEST(ExactAllocator, EntryDualsBuiltAtTheFirstCheckpointKeepTheOptimum) {
+TEST(ExactAllocator, CycleDualsBuiltAtTheFirstCheckpointKeepTheOptimum) {
   // Bodies of 21 or 22 accesses whose search runs past its first
-  // 1024-node checkpoint, where it solves the entry assignment for its
-  // start state and walks the dual sum down the current path. Three
-  // start from a nontrivial pinned prefix. The proven cost is the
+  // 1024-node checkpoint, where it solves the register-cycle assignment
+  // for its start state and walks its value down the current path.
+  // Three start from a nontrivial pinned prefix. The proven cost is the
   // enumerated optimum, sequentially and at jobs = 2. Each body needs
-  // 9,775 to 19,226 nodes today, at least 9.5 times the checkpoint, so
-  // a pruning gain has to cut a body's tree by that factor before the
-  // premise `nodes > 1024` fails. They are the 6 of seeds 1 to 1,500
-  // that need more than 8,192 nodes and that the enumeration proves in
-  // under a second each in a Release build.
-  for (const std::uint64_t seed : {347, 652, 714, 772, 1376, 1401}) {
+  // 4,378 to 9,548 nodes today, at least 4.2 times the checkpoint, so a
+  // pruning gain has to cut a body's tree by that factor before the
+  // premise `nodes > 1024` fails. Seeds 347, 714 and 1401 are the three
+  // bodies of seeds 1 to 1,500 above 4,096 nodes; 2162, 2689 and 3568
+  // are three of the six of seeds 1,501 to 4,000 (2766, 3176 and 3669
+  // are the others). The enumeration proves each in under 0.15 s in a
+  // Release build.
+  for (const std::uint64_t seed : {347, 714, 1401, 2162, 2689, 3568}) {
     support::Rng rng(seed * 31 + 7);
     eval::PatternSpec spec;
     spec.accesses = 20 + rng.index(3);
@@ -649,14 +710,15 @@ TEST(ExactAllocator, EntryDualsBuiltAtTheFirstCheckpointKeepTheOptimum) {
   }
 }
 
-TEST(ExactAllocator, EntryDualsStopAboveTheirSizeLimit) {
+TEST(ExactAllocator, CycleDualsStopAboveTheirSizeLimit) {
   // A 140-access sorted-noise body at K = 2, pinned so that kMaxRows +
   // 1 accesses stay unassigned, keeps the matching bound alone: it
-  // walks the tree the search walked before the entry duals existed
+  // walks the tree the search walked before any dual bound existed
   // (5,760 nodes with states keyed by their future; 22,729 with raw
-  // indices). With one access fewer to assign the run builds them and
-  // proves the same cost in 2,537 nodes (4,701 with raw indices).
-  static_assert(EntryDuals::kMaxRows == 128,
+  // indices). With one access fewer to assign the run builds the cycle
+  // duals and proves the same cost in 1,343 nodes (2,537 with the
+  // duals of the intra steps alone).
+  static_assert(CycleDuals::kMaxRows == 128,
                 "the node counts below are pinned at kMaxRows = 128");
   support::Rng rng(575);
   eval::PatternSpec spec;
@@ -669,18 +731,18 @@ TEST(ExactAllocator, EntryDualsStopAboveTheirSizeLimit) {
   ASSERT_EQ(k, 2u);
 
   ExactOptions above;
-  above.pinned_prefix.assign(seq.size() - (EntryDuals::kMaxRows + 1), 0);
+  above.pinned_prefix.assign(seq.size() - (CycleDuals::kMaxRows + 1), 0);
   const ExactResult skipped = exact_min_cost_allocation(seq, kM1, k, above);
   ASSERT_TRUE(skipped.proven);
   EXPECT_EQ(skipped.cost, 13);
   EXPECT_EQ(skipped.nodes, 5'760u);
 
   ExactOptions at_limit;
-  at_limit.pinned_prefix.assign(seq.size() - EntryDuals::kMaxRows, 0);
+  at_limit.pinned_prefix.assign(seq.size() - CycleDuals::kMaxRows, 0);
   const ExactResult built = exact_min_cost_allocation(seq, kM1, k, at_limit);
   ASSERT_TRUE(built.proven);
   EXPECT_EQ(built.cost, 13);
-  EXPECT_EQ(built.nodes, 2'537u);
+  EXPECT_EQ(built.nodes, 1'343u);
 }
 
 }  // namespace

@@ -172,7 +172,10 @@ TEST(ParallelExact, SequentialSolveReportsNoSubtreeTasks) {
 }
 
 TEST(ParallelExact, NodeBudgetAbortKeepsValidIncumbent) {
-  const AccessSequence seq = hard_pattern(40, 11);
+  // 160 accesses are more than CycleDuals::kMaxRows, so no task builds
+  // the cycle duals, and the matching bound alone needs about 2.9
+  // million nodes to prove this body sequentially.
+  const AccessSequence seq = hard_pattern(160, 11);
   ExactOptions options;
   options.jobs = 4;
   options.max_nodes = 5'000;

@@ -1,7 +1,9 @@
 // obs — counters, gauges, histograms and the registry: bucket edges,
-// percentile determinism, and thread-safety of the lock-free paths.
+// percentile error and determinism, and thread-safety of the lock-free
+// paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -49,23 +51,78 @@ TEST(Obs, GaugeTracksLevelAndHighWatermark) {
   EXPECT_EQ(gauge.max(), 7);
 }
 
+/// The bucket a single recorded value lands in.
+std::size_t bucket_of(std::uint64_t us) {
+  obs::Histogram histogram;
+  histogram.record_us(us);
+  const obs::HistogramSnapshot snap = histogram.snapshot();
+  const auto it = std::find(snap.buckets.begin(), snap.buckets.end(), 1u);
+  return static_cast<std::size_t>(it - snap.buckets.begin());
+}
+
 TEST(Obs, HistogramBucketEdges) {
-  // Bucket 0 counts exactly 0; bucket i counts [2^(i-1), 2^i).
+  // Values 0..7 get a bucket each; from 8 on, every power of two
+  // splits into 8 buckets: [8, 9) .. [15, 16), then [16, 18) ..
+  // [30, 32), [32, 36) and so on.
   obs::Histogram histogram;
   histogram.record_us(0);
   histogram.record_us(1);
-  histogram.record_us(2);
-  histogram.record_us(3);
-  histogram.record_us(4);
+  histogram.record_us(7);
+  histogram.record_us(8);
+  histogram.record_us(16);
+  histogram.record_us(17);
+  histogram.record_us(18);
   const obs::HistogramSnapshot snap = histogram.snapshot();
-  EXPECT_EQ(snap.count, 5u);
-  EXPECT_EQ(snap.sum_us, 10u);
-  EXPECT_EQ(snap.max_us, 4u);
+  EXPECT_EQ(snap.count, 7u);
+  EXPECT_EQ(snap.sum_us, 67u);
+  EXPECT_EQ(snap.max_us, 18u);
   ASSERT_EQ(snap.buckets.size(), obs::Histogram::kBuckets);
-  EXPECT_EQ(snap.buckets[0], 1u);  // 0
-  EXPECT_EQ(snap.buckets[1], 1u);  // [1, 2)
-  EXPECT_EQ(snap.buckets[2], 2u);  // [2, 4)
-  EXPECT_EQ(snap.buckets[3], 1u);  // [4, 8)
+  EXPECT_EQ(obs::Histogram::kBuckets, 241u);
+  EXPECT_EQ(snap.buckets[0], 1u);   // 0
+  EXPECT_EQ(snap.buckets[1], 1u);   // 1
+  EXPECT_EQ(snap.buckets[7], 1u);   // 7
+  EXPECT_EQ(snap.buckets[8], 1u);   // [8, 9)
+  EXPECT_EQ(snap.buckets[16], 2u);  // [16, 18)
+  EXPECT_EQ(snap.buckets[17], 1u);  // [18, 20)
+  EXPECT_EQ(obs::HistogramSnapshot::bucket_upper_us(7), 8u);
+  EXPECT_EQ(obs::HistogramSnapshot::bucket_upper_us(8), 9u);
+  EXPECT_EQ(obs::HistogramSnapshot::bucket_upper_us(16), 18u);
+  EXPECT_EQ(obs::HistogramSnapshot::bucket_upper_us(24), 36u);
+
+  // The buckets tile [0, 2^32) in order: each upper edge is the next
+  // bucket's first value, and the open last bucket starts at 2^32.
+  for (std::size_t i = 0; i + 1 < obs::Histogram::kBuckets; ++i) {
+    const std::uint64_t upper = obs::HistogramSnapshot::bucket_upper_us(i);
+    EXPECT_EQ(bucket_of(upper - 1), i) << "bucket " << i;
+    EXPECT_EQ(bucket_of(upper), i + 1) << "bucket " << i;
+  }
+  EXPECT_EQ(obs::HistogramSnapshot::bucket_upper_us(
+                obs::Histogram::kBuckets - 2),
+            std::uint64_t{1} << 32);
+}
+
+TEST(Obs, PercentilesOverstateByAtMostOneEighth) {
+  // A percentile is its bucket's upper edge: above the true value, by 1
+  // µs at most below 8 µs and by at most an eighth of the value from
+  // there up to the open last bucket.
+  std::vector<std::uint64_t> values;
+  for (std::uint64_t v = 0; v < 5000; ++v) values.push_back(v);
+  for (std::uint64_t v = 5000; v < (std::uint64_t{1} << 32); v = v * 9 / 8 + 7) {
+    values.push_back(v);
+    values.push_back(v - 1);
+  }
+  values.push_back((std::uint64_t{1} << 32) - 1);
+  for (const std::uint64_t v : values) {
+    obs::Histogram histogram;
+    histogram.record_us(v);
+    const std::uint64_t reported = histogram.snapshot().percentile_us(50);
+    EXPECT_GT(reported, v);
+    if (v < 8) {
+      EXPECT_EQ(reported, v + 1);
+    } else {
+      EXPECT_LE(8 * (reported - v), v) << v;
+    }
+  }
 }
 
 TEST(Obs, HistogramHugeValuesLandInTheOpenLastBucket) {
